@@ -70,11 +70,6 @@ func maxCoreVia(h *hypergraph.Hypergraph, o options) (*core.Result, error) {
 	default:
 		return core.MaxCore(h), nil
 	}
-	if d.MaxK == 0 {
-		// Core(0) keeps non-maximal edges; the 0-core is the reduced
-		// hypergraph, so peel it directly.
-		return core.KCore(h, 0), nil
-	}
 	return d.Core(d.MaxK), nil
 }
 

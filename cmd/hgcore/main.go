@@ -7,12 +7,15 @@
 // With -k it prints the members of the k-core (or the (k, l)-core with
 // -l); with -max (default) the maximum core; with -decompose the
 // coreness of every vertex.  -pajek writes PREFIX.net and PREFIX.clu
-// with the core highlighted (Fig. 3 of the paper).
+// with the core highlighted (Fig. 3 of the paper).  -shards and -dist
+// choose the engine of -max and -decompose; combining them with -k or
+// -l is a usage error (exit status 2), as is any malformed flag.
 package main
 
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -29,8 +32,27 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("hgcore: ")
-	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
-		log.Fatal(err)
+	err := run(os.Args[1:], os.Stdin, os.Stdout)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Print(err)
+	}
+	os.Exit(exitCode(err))
+}
+
+// errUsage marks a command line that asks for something hgcore does
+// not do, such as an engine flag on a route that has no engine choice.
+var errUsage = errors.New("usage")
+
+// exitCode is the process status for run's error: 0 on success and
+// for -h, 2 for a usage error, 1 for any other failure.
+func exitCode(err error) int {
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		return 2
+	default:
+		return 1
 	}
 }
 
@@ -40,7 +62,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 	fs.SetOutput(stdout)
 	k := fs.Int("k", -1, "compute the k-core for this k")
 	l := fs.Int("l", 1, "minimum hyperedge size (the l of a (k, l)-core)")
-	max := fs.Bool("max", false, "compute the maximum core (default when -k and -decompose are absent)")
+	fs.Bool("max", false, "compute the maximum core (default when -k and -decompose are absent)")
 	decompose := fs.Bool("decompose", false, "print the coreness of every vertex")
 	mtx := fs.Bool("mtx", false, "input is a Matrix Market file")
 	storePath := fs.String("store", "", "read the hypergraph from this binary store file (memory-mapped; overrides [file] and -mtx)")
@@ -54,7 +76,13 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 	quiet := fs.Bool("quiet", false, "suppress the member listing")
 	timeout := fs.Duration("timeout", 0, "abort if reading plus peeling exceed this duration (0 = no limit)")
 	if err := fs.Parse(args); err != nil {
-		return err
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
+	if (*k >= 0 || *l > 1) && (*distN > 0 || *shards > 0) {
+		return fmt.Errorf("%w: -k and -l compute one core with the sequential or -parallel peeler; -shards and -dist apply to -max and -decompose only", errUsage)
 	}
 	ctx, cancel := cli.WithTimeout(context.Background(), *timeout)
 	defer cancel()
@@ -133,30 +161,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 		}
 		return report(stdout, h, r, *pajekPrefix, *quiet)
 	default:
-		_ = max
-		var r *core.Result
-		if *shards > 0 || *csr {
-			d, err := decomposeVia()
-			if err != nil {
-				return err
-			}
-			if d.MaxK == 0 {
-				// Core(0) keeps non-maximal edges; the 0-core is the
-				// reduced hypergraph, so peel it directly.
-				r, err = core.KCoreCtx(ctx, h, 0)
-				if err != nil {
-					return err
-				}
-			} else {
-				r = d.Core(d.MaxK)
-			}
-		} else {
-			r, err = core.MaxCoreCtx(ctx, h)
-		}
+		d, err := decomposeVia()
 		if err != nil {
 			return err
 		}
-		return report(stdout, h, r, *pajekPrefix, *quiet)
+		return report(stdout, h, d.Core(d.MaxK), *pajekPrefix, *quiet)
 	}
 }
 

@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -217,5 +220,76 @@ func TestRunStoreBadFile(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-store", path}, nil, &out); err == nil {
 		t.Error("junk store file accepted")
+	}
+}
+
+// TestRunMaxCoreHonorsDist pins that -max with -dist runs on the worker
+// pool even when -csr=false: a pool whose worker binary does not exist
+// must fail the run (the flag is not dropped for the map peeler), and
+// with -local-fallback the run must match the sequential output.
+func TestRunMaxCoreHonorsDist(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "no-such-hgshardd")
+	for _, extra := range [][]string{{"-csr=false"}, {}} {
+		args := append([]string{"-max", "-quiet", "-dist", "2", "-hgshardd", bad}, extra...)
+		var out bytes.Buffer
+		if err := run(args, strings.NewReader(planted), &out); err == nil {
+			t.Errorf("%v: unspawnable worker pool accepted; -dist was not used", args)
+		}
+		var seq, fallback bytes.Buffer
+		if err := run(append([]string{"-max", "-quiet"}, extra...), strings.NewReader(planted), &seq); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(append(args, "-local-fallback"), strings.NewReader(planted), &fallback); err != nil {
+			t.Fatal(err)
+		}
+		if seq.String() != fallback.String() {
+			t.Errorf("%v: sequential %q vs dist fallback %q", args, seq.String(), fallback.String())
+		}
+	}
+}
+
+// TestRunEngineFlagsWithKAreUsageErrors pins that -k and -l, which
+// compute one core with the sequential or -parallel peeler, reject the
+// -shards and -dist engine flags instead of silently ignoring them,
+// and that the process exits with status 2.
+func TestRunEngineFlagsWithKAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-k", "3", "-dist", "2"},
+		{"-k", "3", "-shards", "2"},
+		{"-k", "2", "-l", "3", "-dist", "2"},
+		{"-k", "2", "-l", "3", "-shards", "2"},
+		{"-k", "0", "-shards", "1", "-dist", "1"},
+	} {
+		var out bytes.Buffer
+		err := run(append(args, "-quiet"), strings.NewReader(planted), &out)
+		if !errors.Is(err, errUsage) {
+			t.Errorf("%v: err = %v, want a usage error", args, err)
+		}
+		if got := exitCode(err); got != 2 {
+			t.Errorf("%v: exit code %d, want 2", args, got)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: usage error still printed a core:\n%s", args, out.String())
+		}
+	}
+}
+
+func TestExitCode(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{nil, 0},
+		{flag.ErrHelp, 0},
+		{fmt.Errorf("%w: bad combination", errUsage), 2},
+		{errors.New("hgcore: read failed"), 1},
+	} {
+		if got := exitCode(tc.err); got != tc.want {
+			t.Errorf("exitCode(%v) = %d, want %d", tc.err, got, tc.want)
+		}
+	}
+	var out bytes.Buffer
+	if got := exitCode(run([]string{"-no-such-flag"}, strings.NewReader(planted), &out)); got != 2 {
+		t.Errorf("unknown flag: exit code %d, want 2", got)
 	}
 }

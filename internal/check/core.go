@@ -152,8 +152,8 @@ func sameEdgeFamily(h *hypergraph.Hypergraph, vIn, aIn, bIn []bool) error {
 
 // ValidDecomposition verifies a full core decomposition: coreness
 // arrays sized to h, MaxK attained, and every level's extracted core
-// equal to the definitional fixpoint (including level MaxK+1, which
-// must be empty).
+// equal to the definitional fixpoint (including level 0, the reduced
+// hypergraph, and level MaxK+1, which must be empty).
 func ValidDecomposition(h *hypergraph.Hypergraph, d *core.Decomposition) error {
 	if d == nil {
 		return fmt.Errorf("check: nil decomposition")
@@ -180,7 +180,7 @@ func ValidDecomposition(h *hypergraph.Hypergraph, d *core.Decomposition) error {
 			return fmt.Errorf("check: hyperedge %d coreness %d outside [0, MaxK=%d]", f, c, d.MaxK)
 		}
 	}
-	for k := 1; k <= d.MaxK+1; k++ {
+	for k := 0; k <= d.MaxK+1; k++ {
 		r := d.Core(k)
 		vIn, eIn := KCoreOracle(h, k)
 		if v, ok := firstMismatch(r.VertexIn, vIn); !ok {

@@ -8,13 +8,14 @@ import (
 	"time"
 )
 
-// GoroutineSnapshot returns one header line ("goroutine N [state]: ...
-// created by F") per live goroutine, sorted, for leak detection by
-// snapshot-and-diff.  The goroutine ID is stripped so that a goroutine
-// that merely changed ID between snapshots does not register as a
-// leak; the creation site (the "created by" frame) is appended so two
-// goroutines parked in the same state but born in different places
-// stay distinguishable.
+// GoroutineSnapshot returns one line per live goroutine — its ID and
+// creation site, "goroutine N created by F" — sorted, for leak
+// detection by snapshot-and-diff.  A goroutine keeps its ID for life,
+// so the ID is what tells a goroutine that existed before from a new
+// one; its state is left out, since a goroutine that merely changed
+// state between snapshots (a test runner that had not yet parked on
+// its subtest when the first snapshot was taken) is not a leak.  The
+// creation site says where a leaked goroutine was born.
 func GoroutineSnapshot() []string {
 	buf := make([]byte, 1<<20)
 	for {
@@ -32,9 +33,9 @@ func GoroutineSnapshot() []string {
 		if !strings.HasPrefix(header, "goroutine ") {
 			continue
 		}
-		// "goroutine 17 [chan receive]:" → "[chan receive]".
+		// "goroutine 17 [chan receive]:" → "goroutine 17".
 		if i := strings.Index(header, " ["); i >= 0 {
-			header = header[i+1:]
+			header = header[:i]
 		}
 		created := ""
 		for _, l := range lines[1:] {

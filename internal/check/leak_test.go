@@ -46,3 +46,27 @@ func TestDiffGoroutinesMultiset(t *testing.T) {
 		t.Fatalf("shrinking should report nothing, got %v", got)
 	}
 }
+
+// TestCheckNoLeaksStateChange pins that a goroutine which existed at
+// the snapshot is not reported however its state changed since: it is
+// parked on one channel when the snapshot is taken and on another
+// after.
+func TestCheckNoLeaksStateChange(t *testing.T) {
+	first, second, moved := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	defer close(second)
+	go func() {
+		<-first
+		close(moved)
+		select {
+		case <-second:
+		case <-time.After(time.Minute):
+		}
+	}()
+	time.Sleep(10 * time.Millisecond) // let it park on first
+	before := GoroutineSnapshot()
+	close(first)
+	<-moved
+	if err := CheckNoLeaks(before, 50*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -214,6 +214,39 @@ func TestDifferentialCSRDecompose(t *testing.T) {
 	}
 }
 
+// TestDecompositionCoreZero pins Decomposition.Core(0) — and Core of
+// a negative k — to the definitional 0-core for the map, CSR and
+// sharded decompositions: the reduced hypergraph without isolated
+// vertices, checked with check.ValidCore and against KCore(h, 0).
+// The sweep's crafted instances include hypergraphs whose 1-core is
+// empty (MaxK 0), where MaxCore must return that same 0-core.
+func TestDecompositionCoreZero(t *testing.T) {
+	instances := append(check.Instances(58, 0xC04E7), dataset.Cellzome().H)
+	for i, h := range instances {
+		want := core.KCore(h, 0)
+		for name, d := range map[string]*core.Decomposition{
+			"map":     core.Decompose(h),
+			"csr":     core.CSRDecompose(h),
+			"sharded": core.ShardedDecompose(h, core.ShardedOptions{Shards: 3}),
+		} {
+			for _, k := range []int{0, -1} {
+				r := d.Core(k)
+				if err := check.ValidCore(h, 0, r); err != nil {
+					t.Fatalf("instance %d %v: %s Core(%d): %v", i, h, name, k, err)
+				}
+				if err := check.SameResult(h, r, want); err != nil {
+					t.Fatalf("instance %d %v: %s Core(%d) vs KCore(h, 0): %v", i, h, name, k, err)
+				}
+			}
+		}
+		if m := core.MaxCore(h); m.K == 0 {
+			if err := check.SameResult(h, m, want); err != nil {
+				t.Fatalf("instance %d %v: MaxCore at level 0 vs KCore(h, 0): %v", i, h, err)
+			}
+		}
+	}
+}
+
 // TestDifferentialBiCore checks the (k, l)-core peeler against the
 // definitional fixpoint oracle.
 func TestDifferentialBiCore(t *testing.T) {

@@ -87,8 +87,8 @@ type DistPeeler struct {
 	// stamp addressing.
 	eLocal []int32
 
-	shards  []*shardPeel // indexed by shard; nil when not owned here
-	scratch *nonMaxScratch
+	shards []*shardPeel // indexed by shard; nil when not owned here
+	det    *csr.Detector
 
 	k     int   // current peeling threshold
 	round int32 // shrink-stamp generation, advanced per retire phase
@@ -98,17 +98,18 @@ type DistPeeler struct {
 // vertices and hyperedges alive, no shards assigned.
 func NewDistPeeler(h *hypergraph.Hypergraph, part *partition.Partition) *DistPeeler {
 	nv, ne := h.NumVertices(), h.NumEdges()
+	c := csr.FromH(h)
 	w := &DistPeeler{
-		c:       csr.FromH(h),
-		part:    part,
-		vAlive:  make([]bool, nv),
-		eAlive:  make([]bool, ne),
-		eDeg:    make([]int32, ne),
-		vCore:   make([]int, nv),
-		eCore:   make([]int, ne),
-		eLocal:  make([]int32, ne),
-		shards:  make([]*shardPeel, part.NumShards()),
-		scratch: newNonMaxScratch(ne),
+		c:      c,
+		part:   part,
+		vAlive: make([]bool, nv),
+		eAlive: make([]bool, ne),
+		eDeg:   make([]int32, ne),
+		vCore:  make([]int, nv),
+		eCore:  make([]int, ne),
+		eLocal: make([]int32, ne),
+		shards: make([]*shardPeel, part.NumShards()),
+		det:    csr.NewDetector(c),
 	}
 	for v := 0; v < nv; v++ {
 		w.vAlive[v] = true
@@ -270,11 +271,7 @@ func (w *DistPeeler) clampCore() int {
 // checkDead reports whether hyperedge g (global ID) is empty or
 // non-maximal against the current stable snapshot.
 func (w *DistPeeler) checkDead(g int32) bool {
-	df := w.eDeg[g]
-	return df == 0 || w.scratch.NonMaximal(w.c, g, df,
-		func(v int32) bool { return w.vAlive[v] },
-		func(f int32) bool { return w.eAlive[f] },
-		func(f int32) int32 { return w.eDeg[f] })
+	return w.eDeg[g] == 0 || w.det.NonMaximal(g, w.vAlive, w.eDeg)
 }
 
 // ApplyDying applies a round's broadcast dying-hyperedge delta at
@@ -286,6 +283,7 @@ func (w *DistPeeler) ApplyDying(k int, dying []int32) {
 	w.k = k
 	for _, g := range dying {
 		w.eAlive[g] = false
+		w.eDeg[g] = 0
 		w.eCore[g] = w.clampCore()
 		for _, v := range w.c.EdgeVertices(g) {
 			if !w.vAlive[v] {

@@ -66,9 +66,32 @@ func distDriver(t *testing.T, h *hypergraph.Hypergraph, shards, nw int,
 				}
 			}
 			round++
+			for _, w := range workers {
+				checkSnapshotContract(t, w)
+			}
 			if barrier != nil {
 				barrier(k, round, workers)
 			}
+		}
+	}
+}
+
+// checkSnapshotContract asserts the detector's snapshot contract on a
+// replica at a barrier: a dead hyperedge has eDeg zero, and an alive
+// one its alive member count.
+func checkSnapshotContract(t *testing.T, w *DistPeeler) {
+	t.Helper()
+	for g := range w.eDeg {
+		want := int32(0)
+		if w.eAlive[g] {
+			for _, v := range w.c.EdgeVertices(int32(g)) {
+				if w.vAlive[v] {
+					want++
+				}
+			}
+		}
+		if w.eDeg[g] != want {
+			t.Fatalf("hyperedge %d (alive %t): eDeg %d, want %d", g, w.eAlive[g], w.eDeg[g], want)
 		}
 	}
 }

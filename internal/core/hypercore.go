@@ -40,21 +40,27 @@ type Decomposition struct {
 	MaxK int
 }
 
-// Core extracts the k-core recorded in the decomposition.
+// Core extracts the k-core recorded in the decomposition.  It is
+// total: for k ≤ 0 it returns the 0-core, labelled K = 0 — the reduced
+// hypergraph without isolated vertices, which is what KCore(h, 0)
+// computes.  That core has the 1-core's members, since non-maximal and
+// empty hyperedges and isolated vertices all have coreness 0.
 func (d *Decomposition) Core(k int) *Result {
+	k = max(k, 0)
 	r := &Result{
 		K:        k,
 		VertexIn: make([]bool, len(d.VertexCoreness)),
 		EdgeIn:   make([]bool, len(d.EdgeCoreness)),
 	}
+	minCore := max(k, 1)
 	for v, c := range d.VertexCoreness {
-		if c >= k {
+		if c >= minCore {
 			r.VertexIn[v] = true
 			r.NumVertices++
 		}
 	}
 	for f, c := range d.EdgeCoreness {
-		if c >= k {
+		if c >= minCore {
 			r.EdgeIn[f] = true
 			r.NumEdges++
 		}
@@ -389,9 +395,7 @@ func DecomposeCtx(ctx context.Context, h *hypergraph.Hypergraph) (d *Decompositi
 
 // MaxCore returns the maximum core of h: the largest k with a
 // non-empty k-core, and that core's membership.  When even the 1-core
-// is empty it returns the 0-core (the reduced hypergraph with isolated
-// vertices removed), since coreness values cannot distinguish the
-// 0-core at level 0.
+// is empty it returns the (equally empty) 0-core.
 func MaxCore(h *hypergraph.Hypergraph) *Result {
 	r, err := MaxCoreCtx(context.Background(), h)
 	if err != nil {
@@ -407,9 +411,6 @@ func MaxCoreCtx(ctx context.Context, h *hypergraph.Hypergraph) (*Result, error) 
 	d, err := DecomposeCtx(ctx, h)
 	if err != nil {
 		return nil, err
-	}
-	if d.MaxK == 0 {
-		return KCoreCtx(ctx, h, 0)
 	}
 	return d.Core(d.MaxK), nil
 }

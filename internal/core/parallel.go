@@ -58,9 +58,8 @@ func (e *WorkerPanicError) Error() string {
 //  1. every alive vertex whose degree fell below k is retired, and the
 //     hyperedge degrees of its hyperedges are decremented atomically;
 //  2. every hyperedge that shrank is re-checked for emptiness and
-//     maximality (overlap counts are recomputed locally against the
-//     shrunk edge's alive two-hop neighborhood, using per-worker
-//     stamped scratch arrays);
+//     maximality by the shared detector (csr.Detector, one fork per
+//     worker) over the alive snapshot the phase barrier froze;
 //  3. every hyperedge that died decrements the degrees of its alive
 //     members atomically, seeding the next round's frontier.
 //
@@ -93,21 +92,28 @@ func KCoreParallelCtx(ctx context.Context, h *hypergraph.Hypergraph, k int, work
 		return nil, err
 	}
 	nv, ne := h.NumVertices(), h.NumEdges()
-	// The snapshot checker reads pins through the flat CSR view (the
-	// adjacency is aliased from h, so this costs only the offsets).
+	// The detector reads pins through the flat CSR view (the adjacency
+	// is aliased from h, so this costs only the offsets).
 	cv := csr.FromH(h)
 
-	vAlive := make([]atomic.Bool, nv)
-	eAlive := make([]atomic.Bool, ne)
-	vDeg := make([]atomic.Int32, nv)
-	eDeg := make([]atomic.Int32, ne)
+	// The state is plain arrays.  A write phase writes them through
+	// sync/atomic where several workers can hit the same entry (degree
+	// decrements, shrink stamps) and plainly where each entry has one
+	// writer (liveness flips of distinct frontier vertices and dying
+	// hyperedges); the check phase only reads them, after the barrier
+	// of the phase before.  A dead hyperedge keeps eDeg == 0, the
+	// detector's snapshot contract.
+	vAlive := make([]bool, nv)
+	eAlive := make([]bool, ne)
+	vDeg := make([]int32, nv)
+	eDeg := make([]int32, ne)
 	for v := 0; v < nv; v++ {
-		vAlive[v].Store(true)
-		vDeg[v].Store(int32(h.VertexDegree(v)))
+		vAlive[v] = true
+		vDeg[v] = int32(h.VertexDegree(v))
 	}
 	for f := 0; f < ne; f++ {
-		eAlive[f].Store(true)
-		eDeg[f].Store(int32(h.EdgeDegree(f)))
+		eAlive[f] = true
+		eDeg[f] = int32(h.EdgeDegree(f))
 	}
 
 	minDeg := int32(k)
@@ -177,26 +183,22 @@ func KCoreParallelCtx(ctx context.Context, h *hypergraph.Hypergraph, k int, work
 
 	// checkEdges re-checks the hyperedges listed in cand (all alive)
 	// for emptiness or non-maximality and returns those that must die.
-	// The detection is the reduction layer's snapshot checker
-	// (nonMaxScratch in reduce.go); per-worker scratch instances make
-	// the overlap counting race-free, and the accessors read the atomic
-	// alive state that stays constant within the phase.
-	scratches := make([]*nonMaxScratch, workers)
-	for i := range scratches {
-		scratches[i] = newNonMaxScratch(ne)
+	// The detection is the shared detector; per-worker forks keep the
+	// stamp scratch race-free, and the phase writes nothing the
+	// detector reads.
+	dets := make([]*csr.Detector, workers)
+	dets[0] = csr.NewDetector(cv)
+	for i := 1; i < workers; i++ {
+		dets[i] = dets[0].Fork()
 	}
-	vAliveAt := func(v int32) bool { return vAlive[v].Load() }
-	eAliveAt := func(g int32) bool { return eAlive[g].Load() }
-	eDegAt := func(g int32) int32 { return eDeg[g].Load() }
 	checkEdges := func(cand []int32) ([]int32, error) {
 		dead := make([][]int32, workers)
 		err := parallelRange(len(cand), func(lo, hi, worker int) error {
-			scratch := scratches[worker]
+			det := dets[worker]
 			//hyperplexvet:ignore budgettick charged en bloc by the chunk-entry run.Tick(hi-lo) in parallelRange
 			for i := lo; i < hi; i++ {
 				f := cand[i]
-				df := eDeg[f].Load()
-				if df == 0 || scratch.NonMaximal(cv, f, df, vAliveAt, eAliveAt, eDegAt) {
+				if eDeg[f] == 0 || det.NonMaximal(f, vAlive, eDeg) {
 					dead[worker] = append(dead[worker], f)
 				}
 			}
@@ -223,9 +225,9 @@ func KCoreParallelCtx(ctx context.Context, h *hypergraph.Hypergraph, k int, work
 		return nil, err
 	}
 
-	shrunkStamp := make([]atomic.Int32, ne)
+	shrunkStamp := make([]int32, ne)
 	for f := range shrunkStamp {
-		shrunkStamp[f].Store(-1)
+		shrunkStamp[f] = -1
 	}
 
 	for {
@@ -240,10 +242,11 @@ func KCoreParallelCtx(ctx context.Context, h *hypergraph.Hypergraph, k int, work
 			//hyperplexvet:ignore budgettick charged en bloc by the chunk-entry run.Tick(hi-lo) in parallelRange
 			for i := lo; i < hi; i++ {
 				f := dying[i]
-				eAlive[f].Store(false)
+				eAlive[f] = false
+				eDeg[f] = 0
 				for _, v := range h.Vertices(int(f)) {
-					if vAlive[v].Load() {
-						vDeg[v].Add(-1)
+					if vAlive[v] {
+						atomic.AddInt32(&vDeg[v], -1)
 					}
 				}
 			}
@@ -257,7 +260,7 @@ func KCoreParallelCtx(ctx context.Context, h *hypergraph.Hypergraph, k int, work
 		frontierParts := make([][]int32, workers)
 		err = parallelRange(nv, func(lo, hi, worker int) error {
 			for v := lo; v < hi; v++ {
-				if vAlive[v].Load() && vDeg[v].Load() < minDeg {
+				if vAlive[v] && vDeg[v] < minDeg {
 					frontierParts[worker] = append(frontierParts[worker], int32(v))
 				}
 			}
@@ -278,7 +281,7 @@ func KCoreParallelCtx(ctx context.Context, h *hypergraph.Hypergraph, k int, work
 		// Retire frontier vertices and shrink their edges.
 		err = parallelRange(len(frontier), func(lo, hi, _ int) error {
 			for i := lo; i < hi; i++ {
-				vAlive[frontier[i]].Store(false)
+				vAlive[frontier[i]] = false
 			}
 			return nil
 		})
@@ -291,11 +294,11 @@ func KCoreParallelCtx(ctx context.Context, h *hypergraph.Hypergraph, k int, work
 			for i := lo; i < hi; i++ {
 				v := frontier[i]
 				for _, f := range h.Edges(int(v)) {
-					if !eAlive[f].Load() {
+					if !eAlive[f] {
 						continue
 					}
-					eDeg[f].Add(-1)
-					if shrunkStamp[f].Swap(round) != round {
+					atomic.AddInt32(&eDeg[f], -1)
+					if atomic.SwapInt32(&shrunkStamp[f], round) != round {
 						shrunkParts[worker] = append(shrunkParts[worker], f)
 					}
 				}
@@ -319,13 +322,13 @@ func KCoreParallelCtx(ctx context.Context, h *hypergraph.Hypergraph, k int, work
 
 	r := &Result{K: k, VertexIn: make([]bool, nv), EdgeIn: make([]bool, ne)}
 	for v := 0; v < nv; v++ {
-		if vAlive[v].Load() {
+		if vAlive[v] {
 			r.VertexIn[v] = true
 			r.NumVertices++
 		}
 	}
 	for f := 0; f < ne; f++ {
-		if eAlive[f].Load() {
+		if eAlive[f] {
 			r.EdgeIn[f] = true
 			r.NumEdges++
 		}

@@ -7,22 +7,23 @@ import (
 
 // This file is the package's reduction layer: the paper's
 // overlap-count machinery for detecting non-maximal hyperedges (a
-// hyperedge f is contained in g exactly when |f ∩ g| = d(f)), shared
-// by every peeling kernel in the package.  Two strategies implement
-// the same detection rule:
+// hyperedge f is contained in g exactly when |f ∩ g| = d(f)).  The
+// rule has two implementations in production, each matched to how its
+// engines delete:
 //
 //   - overlapTable maintains the pairwise overlap counts incrementally
 //     while vertices and hyperedges are deleted — the data structure of
-//     the sequential peeler (hypercore.go, bicore.go), where each
-//     deletion updates the table in place.  Since the CSR substrate PR
-//     it is backed by the flat-array csr.Overlaps (offset/neighbor/count
-//     int32 rows) rather than per-hyperedge Go maps;
-//   - nonMaxScratch re-derives the overlap counts of one hyperedge
-//     against a consistent alive snapshot with stamped scratch arrays —
-//     the strategy of the round-synchronous parallel peeler
-//     (parallel.go) and the sharded engine (sharded.go), whose
-//     synchronized phases make a persistent global table unnecessary.
-//     It reads the pins through a csr.CSR view.
+//     the map-based sequential peeler (hypercore.go, bicore.go), where
+//     each deletion updates the table in place.  It is backed by the
+//     flat-array csr.Overlaps (offset/neighbor/count int32 rows);
+//   - csr.Detector re-derives the answer for one hyperedge against an
+//     alive snapshot — flat vAlive and eDeg arrays, dead hyperedges at
+//     eDeg == 0 — by intersecting the vertex rows of f's rarest members
+//     and probing the few surviving candidates member by member.  It is
+//     the kernel layer's one detector: the CSR peeler, the sharded
+//     engine (sharded.go), the distributed replica (distshard.go) and
+//     the round-synchronous parallel peeler (parallel.go) all call it,
+//     each worker with its own fork of the stamp scratch.
 //
 // Both apply the shared tie-break for equal hyperedges: of two alive
 // hyperedges with identical member sets, the lower-ID copy is the
@@ -44,65 +45,4 @@ type overlapTable struct {
 // budgets; pass a no-op when the construction is not cancellable.
 func (t *overlapTable) Fill(h *hypergraph.Hypergraph, checkpoint func(n int)) {
 	t.Build(csr.FromH(h), checkpoint)
-}
-
-// nonMaxScratch is the per-worker scratch for snapshot-based
-// non-maximality checks: stamped count arrays sized to the hyperedge
-// count, so one check runs in O(Σ_{v ∈ f} d(v)) without clearing.
-// Each worker of a parallel phase owns its own scratch; the alive
-// state read through the accessors must be constant for the duration
-// of a check (the synchronized phases of the callers guarantee this).
-type nonMaxScratch struct {
-	stamp []int32
-	count []int32
-	seq   int32 // monotone stamp; 0 in stamp means "never stamped"
-}
-
-func newNonMaxScratch(ne int) *nonMaxScratch {
-	return &nonMaxScratch{
-		stamp: make([]int32, ne),
-		count: make([]int32, ne),
-	}
-}
-
-// NonMaximal reports whether hyperedge f, with df > 0 alive vertices,
-// is contained in another alive hyperedge of c, reading the alive
-// snapshot through the accessors: vAlive reports whether a vertex is
-// alive, eAlive whether a hyperedge is alive, and eDeg the current
-// alive degree of an alive hyperedge.  The detection counts overlaps
-// |f ∩ g| over f's alive two-hop neighborhood and applies the shared
-// (degree, ID) tie-break.
-func (s *nonMaxScratch) NonMaximal(c *csr.CSR, f, df int32, vAlive, eAlive func(int32) bool, eDeg func(int32) int32) bool {
-	if s.seq == 1<<31-1 {
-		for j := range s.stamp {
-			s.stamp[j] = 0
-		}
-		s.seq = 0
-	}
-	s.seq++
-	mark := s.seq // unique per check within this scratch
-	//hyperplexvet:ignore budgettick bounded: one pass over f's two-hop neighborhood through O(1) accessors; every caller charges the check
-	for _, v := range c.EdgeVertices(f) {
-		if !vAlive(v) {
-			continue
-		}
-		//hyperplexvet:ignore budgettick bounded: inner leg of the same single two-hop pass, charged by the caller
-		for _, g := range c.VertexEdges(v) {
-			if g == f || !eAlive(g) {
-				continue
-			}
-			if s.stamp[g] != mark {
-				s.stamp[g] = mark
-				s.count[g] = 0
-			}
-			s.count[g]++
-			if s.count[g] == df {
-				dg := eDeg(g)
-				if dg > df || (dg == df && g < f) {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }

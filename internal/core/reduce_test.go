@@ -1,7 +1,8 @@
 // Unit tests for the reduction layer (reduce.go): the incremental
-// overlap table and the snapshot scratch checker must both implement
-// the paper's containment rule, agree with each other, and agree with
-// the independent detection in hypergraph.NonMaximalEdges.  In-package
+// overlap table and the shared snapshot detector (csr.Detector) must
+// both implement the paper's containment rule, agree with each other,
+// and agree with the independent detection in
+// hypergraph.NonMaximalEdges.  In-package
 // so the unexported layer is reachable (internal/check would be an
 // import cycle here).
 package core
@@ -147,21 +148,22 @@ func TestOverlapTableIncremental(t *testing.T) {
 
 // TestNonMaximalDetectorsAgree checks all three detections of the
 // containment rule against each other on the all-alive state: the
-// incremental table, the snapshot scratch checker, and the independent
+// incremental table, the shared snapshot detector, and the independent
 // hypergraph.NonMaximalEdges.
 func TestNonMaximalDetectorsAgree(t *testing.T) {
-	alive := func(int32) bool { return true }
 	for i, h := range reduceInstances(t) {
 		ne := h.NumEdges()
 		var tab overlapTable
 		tab.Fill(h, noCheckpoint)
-		scratch := newNonMaxScratch(ne)
-		cv := csr.FromH(h)
+		det := csr.NewDetector(csr.FromH(h))
+		vAlive := make([]bool, h.NumVertices())
+		for v := range vAlive {
+			vAlive[v] = true
+		}
 		eDeg := make([]int32, ne)
 		for f := range eDeg {
 			eDeg[f] = int32(h.EdgeDegree(f))
 		}
-		eDegAt := func(g int32) int32 { return eDeg[g] }
 		want := hypergraph.NonMaximalEdges(h)
 		for f := 0; f < ne; f++ {
 			if eDeg[f] == 0 {
@@ -170,32 +172,9 @@ func TestNonMaximalDetectorsAgree(t *testing.T) {
 			if got := tab.NonMaximal(f, eDeg); got != want[f] {
 				t.Fatalf("instance %d %v: overlapTable.NonMaximal(%d) = %t, want %t", i, h, f, got, want[f])
 			}
-			if got := scratch.NonMaximal(cv, int32(f), eDeg[f], alive, alive, eDegAt); got != want[f] {
-				t.Fatalf("instance %d %v: nonMaxScratch.NonMaximal(%d) = %t, want %t", i, h, f, got, want[f])
+			if got := det.NonMaximal(int32(f), vAlive, eDeg); got != want[f] {
+				t.Fatalf("instance %d %v: csr.Detector.NonMaximal(%d) = %t, want %t", i, h, f, got, want[f])
 			}
-		}
-	}
-}
-
-// TestNonMaxScratchStampWraparound pins the stamp-counter wraparound:
-// checks on either side of the int32 rollover must not cross-talk
-// through stale stamps.
-func TestNonMaxScratchStampWraparound(t *testing.T) {
-	h, err := hypergraph.FromEdgeSets(3, [][]int32{{0, 1}, {0, 1, 2}, {2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	alive := func(int32) bool { return true }
-	eDegAt := func(g int32) int32 { return int32(h.EdgeDegree(int(g))) }
-	scratch := newNonMaxScratch(h.NumEdges())
-	cv := csr.FromH(h)
-	scratch.seq = 1<<31 - 3
-	for trial := 0; trial < 6; trial++ {
-		if !scratch.NonMaximal(cv, 0, 2, alive, alive, eDegAt) {
-			t.Fatalf("trial %d (seq %d): edge 0 ⊂ edge 1 not detected", trial, scratch.seq)
-		}
-		if scratch.NonMaximal(cv, 1, 3, alive, alive, eDegAt) {
-			t.Fatalf("trial %d (seq %d): maximal edge 1 flagged", trial, scratch.seq)
 		}
 	}
 }

@@ -25,8 +25,9 @@ import (
 // and every phase reads a snapshot that the barriers keep stable.  The
 // rounds are the same round-synchronous schedule as KCoreParallel, so
 // the engine reaches the same confluent fixpoint per level; the
-// non-maximality detection is the reduction layer's snapshot checker
-// (reduce.go).
+// non-maximality detection is the kernel layer's shared detector
+// (csr.Detector), one fork per worker over the global vAlive/eDeg
+// snapshot.
 //
 // The shard-local peel state lives in the flat-array substrate: each
 // shard materializes its block as a csr.CSR (partition.MaterializeCSR)
@@ -180,34 +181,31 @@ type shardedEngine struct {
 	k       int // current peeling threshold
 
 	vAlive, eAlive []bool
-	eDeg           []int32 // global hyperedge degrees, for the snapshot checker
+	eDeg           []int32 // global hyperedge degrees, zero once dead: the detector's snapshot
 	vCore, eCore   []int
 
 	peels []*shardPeel
 	round int32
 
-	scratches []*nonMaxScratch // one per worker
-	vAliveAt  func(int32) bool
-	eAliveAt  func(int32) bool
-	eDegAt    func(int32) int32
+	dets []*csr.Detector // one fork per worker
 }
 
 func newShardedEngine(ctx context.Context, h *hypergraph.Hypergraph, part *partition.Partition, workers int) *shardedEngine {
 	nv, ne := h.NumVertices(), h.NumEdges()
 	ns := part.NumShards()
 	e := &shardedEngine{
-		c:         csr.FromH(h),
-		part:      part,
-		ctx:       ctx,
-		meter:     run.MeterFrom(ctx),
-		workers:   workers,
-		vAlive:    make([]bool, nv),
-		eAlive:    make([]bool, ne),
-		eDeg:      make([]int32, ne),
-		vCore:     make([]int, nv),
-		eCore:     make([]int, ne),
-		peels:     make([]*shardPeel, ns),
-		scratches: make([]*nonMaxScratch, workers),
+		c:       csr.FromH(h),
+		part:    part,
+		ctx:     ctx,
+		meter:   run.MeterFrom(ctx),
+		workers: workers,
+		vAlive:  make([]bool, nv),
+		eAlive:  make([]bool, ne),
+		eDeg:    make([]int32, ne),
+		vCore:   make([]int, nv),
+		eCore:   make([]int, ne),
+		peels:   make([]*shardPeel, ns),
+		dets:    make([]*csr.Detector, workers),
 	}
 	for v := 0; v < nv; v++ {
 		e.vAlive[v] = true
@@ -216,12 +214,10 @@ func newShardedEngine(ctx context.Context, h *hypergraph.Hypergraph, part *parti
 		e.eAlive[f] = true
 		e.eDeg[f] = int32(h.EdgeDegree(f))
 	}
-	for i := range e.scratches {
-		e.scratches[i] = newNonMaxScratch(ne)
+	e.dets[0] = csr.NewDetector(e.c)
+	for i := 1; i < workers; i++ {
+		e.dets[i] = e.dets[0].Fork()
 	}
-	e.vAliveAt = func(v int32) bool { return e.vAlive[v] }
-	e.eAliveAt = func(g int32) bool { return e.eAlive[g] }
-	e.eDegAt = func(g int32) int32 { return e.eDeg[g] }
 	return e
 }
 
@@ -403,6 +399,7 @@ func (e *shardedEngine) applyDying(s, _ int) error {
 	for _, fi := range p.dying {
 		g := p.block.EdgeID[fi]
 		e.eAlive[g] = false
+		e.eDeg[g] = 0
 		e.eCore[g] = e.clampCore()
 		for _, w := range p.block.EdgeVertices(fi) {
 			if j := w - p.olo; j >= 0 && j < p.n {
@@ -545,10 +542,10 @@ func (e *shardedEngine) checkShrunk(s, worker int) error {
 	if err := run.Tick(e.ctx, e.meter, int64(len(p.shrunk))+1); err != nil {
 		return err
 	}
-	scratch := e.scratches[worker]
+	det := e.dets[worker]
 	p.dying = p.dying[:0]
 	for _, fi := range p.shrunk {
-		if e.checkDead(p, scratch, fi) {
+		if e.checkDead(p, det, fi) {
 			p.dying = append(p.dying, fi)
 		}
 	}
@@ -567,10 +564,10 @@ func (e *shardedEngine) checkInitial(s, worker int) error {
 	if err := run.Tick(e.ctx, e.meter, int64(ne)+1); err != nil {
 		return err
 	}
-	scratch := e.scratches[worker]
+	det := e.dets[worker]
 	p.dying = p.dying[:0]
 	for fi := int32(0); fi < ne; fi++ {
-		if e.checkDead(p, scratch, fi) {
+		if e.checkDead(p, det, fi) {
 			p.dying = append(p.dying, fi)
 		}
 	}
@@ -579,10 +576,9 @@ func (e *shardedEngine) checkInitial(s, worker int) error {
 
 // checkDead reports whether owned local hyperedge fi is empty or
 // non-maximal against the current stable global snapshot.
-func (e *shardedEngine) checkDead(p *shardPeel, scratch *nonMaxScratch, fi int32) bool {
+func (e *shardedEngine) checkDead(p *shardPeel, det *csr.Detector, fi int32) bool {
 	g := p.block.EdgeID[fi]
-	df := e.eDeg[g]
-	return df == 0 || scratch.NonMaximal(e.c, g, df, e.vAliveAt, e.eAliveAt, e.eDegAt)
+	return e.eDeg[g] == 0 || det.NonMaximal(g, e.vAlive, e.eDeg)
 }
 
 // decompose runs the level loop: like Decompose, it raises the

@@ -71,10 +71,8 @@ func recoverPeelAbort(err *error) {
 type peeler struct {
 	c *CSR
 	//hyperplexvet:ignore ctxfirst scoped to one DecomposeCtx call; threading ctx through every cascade helper would bloat the hot path
-	ctx        context.Context
-	meter      *run.Meter
-	checkpoint func(n int) // phase-specific: build or peel failpoint
-	ops        int
+	ctx   context.Context
+	meter *run.Meter
 
 	vAlive, eAlive []bool
 	vDeg, eDeg     []int32
@@ -87,67 +85,44 @@ type peeler struct {
 	cur              int   // lowest possibly-non-empty bucket
 	live             []int32
 
-	// Containment scratch: stamp[w] == seq marks w as an alive member
-	// of the hyperedge under test, estamp[g] == seq marks g as incident
-	// to the test edge's second witness vertex, and shrunk[g] == dseq
-	// marks g as incident to the vertex being deleted (no pairwise
-	// overlap table is maintained — see nonMaximal).
-	stamp  []int32
-	estamp []int32
+	// det is the containment detector (detect.go), its witness rows
+	// and stamp scratch carved from the arena.  Its charge accumulator
+	// is the peeler's: every operation of the cascade is charged
+	// through it, and its checkpoint is the current phase's (build or
+	// peel failpoint).  shrunk[g] == dseq marks g as incident to the
+	// vertex being deleted, the detector's shrunk filter.
+	det    *Detector
 	shrunk []int32
-	seq    int32
 	dseq   int32
-
-	// mem mirrors the CSR's edge→vertex rows with each row sorted by
-	// ascending static vertex row length, so nonMaximal finds the
-	// witnesses with the shortest candidate scans in O(1) expected
-	// members instead of scanning the whole row.
-	mem []int32
 
 	core   int
 	aliveV int
 }
 
-// charge accrues n elementary operations and fires the current phase's
-// checkpoint once the accumulator crosses the threshold.  The common
-// case is a plain add-and-compare, so the indirect checkpoint call is
-// off the hot path.
-func (p *peeler) charge(n int) {
-	p.ops += n
-	if p.ops >= peelCheckEvery {
-		p.checkpoint(0)
-	}
-}
+// charge accrues n elementary operations on the detector's
+// accumulator, which fires the current phase's checkpoint once it
+// crosses the threshold.
+func (p *peeler) charge(n int) { p.det.charge(n) }
 
+// checkpointBuild and checkpointPeel receive the accumulated operation
+// count n from the detector's charge accumulator.
 func (p *peeler) checkpointBuild(n int) {
-	p.ops += n
-	if p.ops < peelCheckEvery {
-		return
-	}
-	charge := int64(p.ops)
-	p.ops = 0
 	if err := failpoint.Inject(fpBuild); err != nil {
 		//hyperplexvet:ignore nopanic peelAbort unwinds the construction and is recovered at the Ctx API boundary
 		panic(peelAbort{fmt.Errorf("csr: build: %w", err)})
 	}
-	if err := run.Tick(p.ctx, p.meter, charge); err != nil {
+	if err := run.Tick(p.ctx, p.meter, int64(n)); err != nil {
 		//hyperplexvet:ignore nopanic peelAbort unwinds the construction and is recovered at the Ctx API boundary
 		panic(peelAbort{err})
 	}
 }
 
 func (p *peeler) checkpointPeel(n int) {
-	p.ops += n
-	if p.ops < peelCheckEvery {
-		return
-	}
-	charge := int64(p.ops)
-	p.ops = 0
 	if err := failpoint.Inject(fpPeel); err != nil {
 		//hyperplexvet:ignore nopanic peelAbort unwinds the cascade and is recovered at the Ctx API boundary
 		panic(peelAbort{fmt.Errorf("csr: peel: %w", err)})
 	}
-	if err := run.Tick(p.ctx, p.meter, charge); err != nil {
+	if err := run.Tick(p.ctx, p.meter, int64(n)); err != nil {
 		//hyperplexvet:ignore nopanic peelAbort unwinds the cascade and is recovered at the Ctx API boundary
 		panic(peelAbort{err})
 	}
@@ -172,26 +147,13 @@ func newPeeler(ctx context.Context, c *CSR) *peeler {
 		eAlive: make([]bool, ne),
 		aliveV: nv,
 	}
-	p.checkpoint = p.checkpointBuild
-
-	maxDeg := 0
-	for v := 0; v < nv; v++ {
-		if d := int(c.VertexDegree(int32(v))); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	maxEDeg := 0
-	for f := 0; f < ne; f++ {
-		if d := int(c.EdgeDegree(int32(f))); d > maxEDeg {
-			maxEDeg = d
-		}
-	}
+	maxDeg := int(maxVertexDegree(c))
 
 	// One arena allocation backs every int32 slice of the kernel; the
 	// bucket entry arena is sized for the lazy queue's worst case
 	// (|V| initial pushes + one push per pin decrement).
 	entries := nv + pins
-	arena := make([]int32, 3*nv+5*ne+(maxDeg+1)+2*entries+maxDeg+pins)
+	arena := make([]int32, 2*nv+5*ne+(maxDeg+1)+2*entries+2*maxDeg+pins)
 	carve := func(n int) []int32 {
 		s := arena[:n:n]
 		arena = arena[n:]
@@ -205,31 +167,13 @@ func newPeeler(ctx context.Context, c *CSR) *peeler {
 	p.next = carve(entries)
 	p.item = carve(entries)
 	p.live = carve(maxDeg)[:0]
-	p.stamp = carve(nv)
-	p.estamp = carve(ne)
 	p.shrunk = carve(ne)
-	p.mem = carve(pins)
-
-	// Witness rows: each hyperedge's members sorted by ascending static
-	// vertex row length (insertion sort; rows are short).  nonMaximal
-	// scans candidates over a witness's static CSR row, so the cheapest
-	// witnesses are the members with the shortest rows — a property of
-	// the immutable CSR, computable once here.
-	copy(p.mem, c.EAdj)
-	for f := 0; f < ne; f++ {
-		p.charge(1)
-		row := p.mem[c.EOff[f]:c.EOff[f+1]]
-		for i := 1; i < len(row); i++ {
-			p.charge(1)
-			w := row[i]
-			lw := c.VOff[w+1] - c.VOff[w]
-			j := i - 1
-			for ; j >= 0 && c.VOff[row[j]+1]-c.VOff[row[j]] > lw; j-- {
-				row[j+1] = row[j]
-			}
-			row[j+1] = w
-		}
-	}
+	p.det = &Detector{c: c}
+	p.det.mem = carve(pins)
+	p.det.estamp = carve(ne)
+	p.det.cand = carve(maxDeg)
+	p.det.checkpoint = p.checkpointBuild
+	p.det.sortWitnesses()
 
 	for i := range p.head {
 		p.head[i] = -1
@@ -258,7 +202,7 @@ func newPeeler(ctx context.Context, c *CSR) *peeler {
 	drop := carve(ne)[:0]
 	for f := 0; f < ne; f++ {
 		p.charge(1)
-		if p.eDeg[f] == 0 || p.nonMaximal(int32(f)) {
+		if p.eDeg[f] == 0 || p.det.nonMaximal(int32(f), p.vAlive, p.eDeg, p.shrunk, p.dseq) {
 			drop = append(drop, int32(f))
 		}
 	}
@@ -290,7 +234,7 @@ func (p *peeler) push(v int32, d int) {
 func (p *peeler) deleteEdge(f int32) {
 	p.charge(1)
 	p.eAlive[f] = false
-	p.eDeg[f] = 0 // lets nonMaximal's degree filter skip dead candidates
+	p.eDeg[f] = 0 // the detector's snapshot contract: dead means eDeg == 0
 	p.eCore[f] = int32(p.core)
 	for _, w := range p.c.EdgeVertices(f) {
 		if !p.vAlive[w] {
@@ -326,128 +270,10 @@ func (p *peeler) deleteVertex(v int32) {
 		}
 	}
 	for _, f := range live {
-		if p.eAlive[f] && (p.eDeg[f] == 0 || p.nonMaximal(f)) {
+		if p.eAlive[f] && (p.eDeg[f] == 0 || p.det.nonMaximal(f, p.vAlive, p.eDeg, p.shrunk, p.dseq)) {
 			p.deleteEdge(f)
 		}
 	}
-}
-
-// nonMaximal reports whether alive hyperedge f is contained in another
-// alive hyperedge g over the alive vertices, with the reduction
-// tie-break (d(g) > d(f), or d(g) == d(f) and g < f, so the lowest-ID
-// copy of an equal-set family survives).  Instead of maintaining a
-// pairwise overlap table, it scans the hyperedges incident to an alive
-// member v1 of f — any g containing f must appear there — and prunes
-// the candidates three ways before counting:
-//
-//   - shrunk filter: a containment newly created by deleting vertex v
-//     needs v ∈ f and v ∉ g (if both held v, or neither, the containment
-//     already held before the deletion and f would be gone), so
-//     hyperedges that shrank in the same deleteVertex are skipped;
-//   - witness filter: g must also be incident to a second alive member
-//     v2, and for d(f) ≤ 2 the witnesses are the whole containment
-//     test;
-//   - degree filter: dead hyperedges have eDeg zeroed at deletion, so
-//     the tie-break comparison skips them without a liveness load.
-//
-// The witnesses v1, v2 are the first two alive members of f in the
-// presorted mem row — the alive members whose static CSR rows, and so
-// whose candidate scans, are shortest.  Only candidates surviving all
-// three filters reach the member count, so f's alive members are
-// stamped lazily on the first such candidate.
-//
-//hyperplexvet:hotpath
-func (p *peeler) nonMaximal(f int32) bool {
-	df := p.eDeg[f]
-	if df == 0 {
-		return false
-	}
-	// Hot loop: raw field locals keep the candidate scan free of
-	// repeated slice-header construction and pointer loads.
-	estamp, eDeg := p.estamp, p.eDeg
-	vAlive, shrunk, dseq := p.vAlive, p.shrunk, p.dseq
-	mrow := p.mem[p.c.EOff[f]:p.c.EOff[f+1]]
-	var v1 int32
-	i := 0
-	//hyperplexvet:ignore budgettick bounded: eDeg[f] > 0 guarantees an alive member in mrow
-	for ; ; i++ {
-		if w := mrow[i]; vAlive[w] {
-			v1 = w
-			i++
-			break
-		}
-	}
-	row := p.c.VertexEdges(v1)
-	p.charge(len(row))
-	if df == 1 {
-		// Every candidate contains v1 — f's only alive member — so the
-		// tie-break alone decides.
-		for _, g := range row {
-			if g == f || shrunk[g] == dseq {
-				continue
-			}
-			if dg := eDeg[g]; dg > 1 || (dg == 1 && g < f) {
-				return true
-			}
-		}
-		return false
-	}
-	var v2 int32
-	//hyperplexvet:ignore budgettick bounded: df >= 2 here, so a second alive member follows in mrow
-	for ; ; i++ {
-		if w := mrow[i]; vAlive[w] {
-			v2 = w
-			break
-		}
-	}
-	seq := p.nextSeq()
-	for _, g := range p.c.VertexEdges(v2) {
-		estamp[g] = seq
-	}
-	eOff, eAdj := p.c.EOff, p.c.EAdj
-	stamp, stamped := p.stamp, false
-	for _, g := range row {
-		p.charge(1)
-		if estamp[g] != seq || g == f || shrunk[g] == dseq {
-			continue
-		}
-		if dg := eDeg[g]; dg < df || (dg == df && g > f) {
-			continue
-		}
-		if df == 2 {
-			return true // g contains both witnesses — all of alive(f)
-		}
-		if !stamped {
-			stamped = true
-			for _, w := range mrow {
-				if vAlive[w] {
-					stamp[w] = seq
-				}
-			}
-		}
-		n := int32(0)
-		for _, w := range eAdj[eOff[g]:eOff[g+1]] {
-			if stamp[w] == seq {
-				n++
-			}
-		}
-		if n == df {
-			return true
-		}
-	}
-	return false
-}
-
-// nextSeq advances the stamp generation, clearing both stamp arrays on
-// the (rare) int32 wraparound so stale stamps cannot alias.
-func (p *peeler) nextSeq() int32 {
-	if p.seq == 1<<31-1 {
-		p.seq = 0
-		clear(p.stamp)
-		clear(p.estamp)
-	}
-	p.seq++
-	return p.seq
 }
 
 // peel drains the bucket queue: repeatedly pop a minimum-degree alive
@@ -455,7 +281,7 @@ func (p *peeler) nextSeq() int32 {
 //
 //hyperplexvet:hotpath
 func (p *peeler) peel() {
-	p.checkpoint = p.checkpointPeel
+	p.det.checkpoint = p.checkpointPeel
 	for p.aliveV > 0 {
 		for p.head[p.cur] == -1 {
 			p.cur++

@@ -55,9 +55,10 @@ func TestCollectFactsMultiPackage(t *testing.T) {
 			t.Errorf("csr trivial fixpoint missing accessor %s", fn)
 		}
 	}
-	// The peeler's scan-stamp fields and drop worklist are carved from
-	// one arena, so hotalloc lets appends to them through.
-	for _, f := range []string{"stamp", "estamp", "mem", "drop"} {
+	// The detector scratch the peeler carves (witness rows, stamps,
+	// candidate list) and its drop worklist come from one arena, so
+	// hotalloc lets appends to them through.
+	for _, f := range []string{"estamp", "mem", "cand", "drop"} {
 		if !hasNamed(csr.ArenaOwned, f) {
 			t.Errorf("peeler %s not arena-owned", f)
 		}
