@@ -215,7 +215,7 @@ func BenchmarkExtPrimalDual(b *testing.B) {
 }
 
 // BenchmarkExtParallelCore regenerates experiment X3: sequential vs
-// round-synchronous parallel peeling on a banded hypergraph.
+// sharded parallel peeling, stopped at level k, on a banded hypergraph.
 func BenchmarkExtParallelCore(b *testing.B) {
 	spec := gen.MatrixSpec{Name: "bench", Rows: 8000, Cols: 8000, Band: 10, BandFill: 0.7, RandomPerRow: 2, Seed: 0xBE}
 	m := gen.SyntheticMatrix(spec)
@@ -232,7 +232,7 @@ func BenchmarkExtParallelCore(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, runtime.NumCPU()} {
 		b.Run("parallel-"+itoa(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.KCoreParallel(h, k, workers)
+				core.ShardedKCore(h, k, core.ShardedOptions{Shards: workers, Workers: workers})
 			}
 		})
 	}

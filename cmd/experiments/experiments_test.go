@@ -26,7 +26,7 @@ func TestAllExperimentsShort(t *testing.T) {
 		"X6": {"clique-expansion PPI graph", "hypergraph 6-core hyperedges"},
 		"X7": {"projected-cover baits", "random baits"},
 	}
-	o := options{short: true, outDir: t.TempDir(), trials: 5, csr: true}
+	o := options{short: true, outDir: t.TempDir(), trials: 5}
 	for _, e := range allExperiments {
 		e := e
 		t.Run(e.id, func(t *testing.T) {
@@ -51,7 +51,7 @@ func TestAllExperimentsShort(t *testing.T) {
 // mode (-store DIR routes the input through a memory-mapped store
 // file) and checks the cores come out identical to the in-RAM run.
 func TestStoreOptionMatches(t *testing.T) {
-	o := options{short: true, outDir: t.TempDir(), trials: 5, csr: true, store: t.TempDir()}
+	o := options{short: true, outDir: t.TempDir(), trials: 5, store: t.TempDir()}
 	var buf bytes.Buffer
 	if err := runS3(&buf, o); err != nil {
 		t.Fatal(err)

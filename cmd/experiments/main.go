@@ -28,7 +28,6 @@ func main() {
 	trials := flag.Int("trials", 100, "TAP simulation trials for X1")
 	shards := flag.Int("shards", 0, "compute maximum cores with the sharded engine on this many shards (0 = sequential peeler)")
 	distW := flag.Int("dist", 0, "compute maximum cores on a fault-tolerant distributed pool of this many workers (0 = in-process)")
-	csr := flag.Bool("csr", true, "compute maximum cores with the flat-array CSR kernel (-csr=false keeps the map-based peeler)")
 	storeDir := flag.String("store", "", "round every maximum-core input through a memory-mapped store file in this directory (out-of-core mode)")
 	timeout := flag.Duration("timeout", 0, "stop starting new experiments after this duration (0 = no limit)")
 	flag.Parse()
@@ -46,7 +45,7 @@ func main() {
 		}
 	}
 
-	opts := options{short: *short, outDir: *outDir, trials: *trials, shards: *shards, csr: *csr, dist: *distW, store: *storeDir}
+	opts := options{short: *short, outDir: *outDir, trials: *trials, shards: *shards, dist: *distW, store: *storeDir}
 	if *short && *trials > 20 {
 		opts.trials = 20
 	}
@@ -89,9 +88,6 @@ type options struct {
 	// shards > 0 routes maximum-core computations through the sharded
 	// decomposition engine; 0 keeps the sequential peeler.
 	shards int
-	// csr routes maximum-core computations through the flat-array CSR
-	// kernel when no sharded engine was requested.
-	csr bool
 	// dist > 0 routes maximum-core computations through the
 	// fault-tolerant distributed runtime with this many workers
 	// (local fallback enabled, so a pool collapse degrades rather

@@ -2,14 +2,17 @@
 //
 // Usage:
 //
-//	hgcore [-k N | -max | -decompose] [-l N] [-mtx | -store FILE] [-csr] [-parallel N] [-shards N] [-dist N [-hgshardd PATH] [-local-fallback]] [-pajek PREFIX] [file]
+//	hgcore [-k N [-l N | -shards N] | -max | -decompose] [-mtx | -store FILE] [-shards N] [-dist N [-hgshardd PATH] [-local-fallback]] [-pajek PREFIX] [file]
 //
 // With -k it prints the members of the k-core (or the (k, l)-core with
 // -l); with -max (default) the maximum core; with -decompose the
 // coreness of every vertex.  -pajek writes PREFIX.net and PREFIX.clu
-// with the core highlighted (Fig. 3 of the paper).  -shards and -dist
-// choose the engine of -max and -decompose; combining them with -k or
-// -l is a usage error (exit status 2), as is any malformed flag.
+// with the core highlighted (Fig. 3 of the paper).  -shards runs the
+// sharded parallel peel, for -k as well as -max and -decompose; -dist
+// runs -max and -decompose on a worker pool.  A flag the chosen route
+// would ignore — -l without -k or with an engine flag, -k with -dist,
+// -hgshardd or -local-fallback without -dist — is a usage error (exit
+// status 2), as is any malformed flag.
 package main
 
 import (
@@ -66,9 +69,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 	decompose := fs.Bool("decompose", false, "print the coreness of every vertex")
 	mtx := fs.Bool("mtx", false, "input is a Matrix Market file")
 	storePath := fs.String("store", "", "read the hypergraph from this binary store file (memory-mapped; overrides [file] and -mtx)")
-	parallel := fs.Int("parallel", 0, "use the parallel algorithm with this many workers (0 = sequential)")
-	shards := fs.Int("shards", 0, "use the sharded decomposition engine with this many shards (0 = sequential)")
-	csr := fs.Bool("csr", true, "route -max and -decompose through the flat-array CSR kernel (-csr=false keeps the map-based peeler)")
+	shards := fs.Int("shards", 0, "use the sharded parallel peel with this many shards (0 = sequential)")
 	distN := fs.Int("dist", 0, "run the decomposition on a fault-tolerant pool of this many workers (0 = in-process)")
 	hgshardd := fs.String("hgshardd", "", "spawn -dist workers as OS processes running this hgshardd binary (empty = in-process workers)")
 	localFallback := fs.Bool("local-fallback", false, "with -dist, degrade to the in-process sharded engine if the worker pool collapses")
@@ -81,8 +82,17 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 		}
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}
-	if (*k >= 0 || *l > 1) && (*distN > 0 || *shards > 0) {
-		return fmt.Errorf("%w: -k and -l compute one core with the sequential or -parallel peeler; -shards and -dist apply to -max and -decompose only", errUsage)
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	switch {
+	case set["l"] && *k < 0:
+		return fmt.Errorf("%w: -l needs -k", errUsage)
+	case set["l"] && (set["shards"] || set["dist"]):
+		return fmt.Errorf("%w: the (k, l)-core has no -shards or -dist engine", errUsage)
+	case *k >= 0 && set["dist"]:
+		return fmt.Errorf("%w: -dist applies to -max and -decompose only", errUsage)
+	case (set["hgshardd"] || set["local-fallback"]) && !set["dist"]:
+		return fmt.Errorf("%w: -hgshardd and -local-fallback need -dist", errUsage)
 	}
 	ctx, cancel := cli.WithTimeout(context.Background(), *timeout)
 	defer cancel()
@@ -105,9 +115,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 	}
 
 	// decomposeVia routes through the distributed runtime when -dist is
-	// set, the sharded engine when -shards is set, otherwise through
-	// the CSR kernel unless -csr=false; all paths produce identical
-	// vertex coreness.
+	// set, the sharded peel when -shards is set, otherwise through the
+	// CSR kernel; all paths produce identical vertex coreness.
 	decomposeVia := func() (*core.Decomposition, error) {
 		switch {
 		case *distN > 0:
@@ -123,10 +132,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 			return dist.DecomposeCtx(ctx, h, opts)
 		case *shards > 0:
 			return core.ShardedDecomposeCtx(ctx, h, core.ShardedOptions{Shards: *shards})
-		case *csr:
-			return core.CSRDecomposeCtx(ctx, h)
 		default:
-			return core.DecomposeCtx(ctx, h)
+			return core.CSRDecomposeCtx(ctx, h)
 		}
 	}
 
@@ -151,8 +158,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (err error) {
 		switch {
 		case *l > 1:
 			r, err = core.BiCoreCtx(ctx, h, *k, *l)
-		case *parallel > 0:
-			r, err = core.KCoreParallelCtx(ctx, h, *k, *parallel)
+		case *shards > 0:
+			r, err = core.ShardedKCoreCtx(ctx, h, *k, core.ShardedOptions{Shards: *shards})
 		default:
 			r, err = core.KCoreCtx(ctx, h, *k)
 		}

@@ -42,16 +42,24 @@ func TestRunExplicitK(t *testing.T) {
 	}
 }
 
+// TestRunParallelMatchesSequential pins -k with -shards, the sharded
+// parallel peel stopped at level k, to the sequential k-core byte for
+// byte, member listing included.
 func TestRunParallelMatchesSequential(t *testing.T) {
-	var seq, par bytes.Buffer
-	if err := run([]string{"-k", "3", "-quiet"}, strings.NewReader(planted), &seq); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-k", "3", "-parallel", "2", "-quiet"}, strings.NewReader(planted), &par); err != nil {
-		t.Fatal(err)
-	}
-	if seq.String() != par.String() {
-		t.Errorf("sequential %q vs parallel %q", seq.String(), par.String())
+	for _, k := range []string{"0", "2", "3", "5"} {
+		var seq bytes.Buffer
+		if err := run([]string{"-k", k}, strings.NewReader(planted), &seq); err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []string{"1", "3"} {
+			var par bytes.Buffer
+			if err := run([]string{"-k", k, "-shards", shards}, strings.NewReader(planted), &par); err != nil {
+				t.Fatal(err)
+			}
+			if seq.String() != par.String() {
+				t.Errorf("-k %s -shards %s: sequential %q vs sharded %q", k, shards, seq.String(), par.String())
+			}
+		}
 	}
 }
 
@@ -69,27 +77,6 @@ func TestRunShardedMatchesSequential(t *testing.T) {
 		}
 		if seq.String() != sharded.String() {
 			t.Errorf("%v: sequential %q vs sharded %q", mode, seq.String(), sharded.String())
-		}
-	}
-}
-
-// TestRunCSRMatchesMapPeeler pins the -csr default (the flat-array
-// kernel) to the map-based peeler byte for byte, member listing
-// included, for both the maximum-core and decompose modes.
-func TestRunCSRMatchesMapPeeler(t *testing.T) {
-	for _, mode := range [][]string{
-		{"-max"},
-		{"-decompose"},
-	} {
-		var flat, maps bytes.Buffer
-		if err := run(mode, strings.NewReader(planted), &flat); err != nil {
-			t.Fatal(err)
-		}
-		if err := run(append([]string{"-csr=false"}, mode...), strings.NewReader(planted), &maps); err != nil {
-			t.Fatal(err)
-		}
-		if flat.String() != maps.String() {
-			t.Errorf("%v: csr %q vs map peeler %q", mode, flat.String(), maps.String())
 		}
 	}
 }
@@ -224,41 +211,44 @@ func TestRunStoreBadFile(t *testing.T) {
 }
 
 // TestRunMaxCoreHonorsDist pins that -max with -dist runs on the worker
-// pool even when -csr=false: a pool whose worker binary does not exist
-// must fail the run (the flag is not dropped for the map peeler), and
-// with -local-fallback the run must match the sequential output.
+// pool: a pool whose worker binary does not exist must fail the run,
+// and with -local-fallback the run must match the sequential output.
 func TestRunMaxCoreHonorsDist(t *testing.T) {
 	bad := filepath.Join(t.TempDir(), "no-such-hgshardd")
-	for _, extra := range [][]string{{"-csr=false"}, {}} {
-		args := append([]string{"-max", "-quiet", "-dist", "2", "-hgshardd", bad}, extra...)
-		var out bytes.Buffer
-		if err := run(args, strings.NewReader(planted), &out); err == nil {
-			t.Errorf("%v: unspawnable worker pool accepted; -dist was not used", args)
-		}
-		var seq, fallback bytes.Buffer
-		if err := run(append([]string{"-max", "-quiet"}, extra...), strings.NewReader(planted), &seq); err != nil {
-			t.Fatal(err)
-		}
-		if err := run(append(args, "-local-fallback"), strings.NewReader(planted), &fallback); err != nil {
-			t.Fatal(err)
-		}
-		if seq.String() != fallback.String() {
-			t.Errorf("%v: sequential %q vs dist fallback %q", args, seq.String(), fallback.String())
-		}
+	args := []string{"-max", "-quiet", "-dist", "2", "-hgshardd", bad}
+	var out bytes.Buffer
+	if err := run(args, strings.NewReader(planted), &out); err == nil {
+		t.Errorf("%v: unspawnable worker pool accepted; -dist was not used", args)
+	}
+	var seq, fallback bytes.Buffer
+	if err := run([]string{"-max", "-quiet"}, strings.NewReader(planted), &seq); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(args, "-local-fallback"), strings.NewReader(planted), &fallback); err != nil {
+		t.Fatal(err)
+	}
+	if seq.String() != fallback.String() {
+		t.Errorf("%v: sequential %q vs dist fallback %q", args, seq.String(), fallback.String())
 	}
 }
 
-// TestRunEngineFlagsWithKAreUsageErrors pins that -k and -l, which
-// compute one core with the sequential or -parallel peeler, reject the
-// -shards and -dist engine flags instead of silently ignoring them,
-// and that the process exits with status 2.
+// TestRunEngineFlagsWithKAreUsageErrors pins that every flag the
+// chosen route would ignore is rejected instead: -l without -k or with
+// an engine flag, -k with -dist, and the -dist options without -dist.
+// The process exits with status 2 and prints nothing.
 func TestRunEngineFlagsWithKAreUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-k", "3", "-dist", "2"},
-		{"-k", "3", "-shards", "2"},
 		{"-k", "2", "-l", "3", "-dist", "2"},
 		{"-k", "2", "-l", "3", "-shards", "2"},
 		{"-k", "0", "-shards", "1", "-dist", "1"},
+		{"-l", "3"},
+		{"-max", "-l", "2"},
+		{"-decompose", "-l", "1"},
+		{"-l", "2", "-shards", "2"},
+		{"-hgshardd", "hgshardd"},
+		{"-decompose", "-local-fallback"},
+		{"-max", "-shards", "2", "-hgshardd", "hgshardd", "-local-fallback"},
 	} {
 		var out bytes.Buffer
 		err := run(append(args, "-quiet"), strings.NewReader(planted), &out)

@@ -47,21 +47,6 @@ func TestRunMulticover(t *testing.T) {
 	}
 }
 
-func TestRunCSRFlagMatchesMapKernel(t *testing.T) {
-	// The default (CSR) and -csr=false (map) kernels must print the
-	// byte-identical cover, member listing included.
-	var def, mapped bytes.Buffer
-	if err := run([]string{"-weights", "degree2", "-r", "2"}, strings.NewReader(sample), &def); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-weights", "degree2", "-r", "2", "-csr=false"}, strings.NewReader(sample), &mapped); err != nil {
-		t.Fatal(err)
-	}
-	if def.String() != mapped.String() {
-		t.Errorf("kernels diverge:\n-csr (default):\n%s\n-csr=false:\n%s", def.String(), mapped.String())
-	}
-}
-
 func TestRunMulticoverInfeasibleAndSkip(t *testing.T) {
 	in := "single: z\npair: a b\n"
 	var out bytes.Buffer

@@ -54,7 +54,7 @@ func main() {
 	fmt.Printf("maximum core: %d-core with %d vertices and %d hyperedges (%.3fs)\n",
 		mc.K, mc.NumVertices, mc.NumEdges, elapsed.Seconds())
 
-	// The same computation with the parallel algorithm at the max
+	// The same computation with the sharded parallel peel at the max
 	// core's level.
 	start = time.Now()
 	par := hyperplex.KCoreParallel(h, mc.K, 0)

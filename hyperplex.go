@@ -8,7 +8,7 @@
 //
 //   - k-cores of hypergraphs (and graphs), including the paper's
 //     overlap-count algorithm for maintaining hyperedge maximality, a
-//     full core decomposition, and a parallel peeling variant;
+//     full core decomposition, and a sharded bulk-synchronous peel;
 //   - minimum-weight vertex covers and multicovers (greedy H_m
 //     approximation and a certifying primal-dual algorithm) for bait
 //     selection;
@@ -90,10 +90,12 @@ func MaxCore(h *Hypergraph) *CoreResult { return core.MaxCore(h) }
 // Decompose computes the coreness of every vertex and hyperedge.
 func Decompose(h *Hypergraph) *Decomposition { return core.Decompose(h) }
 
-// KCoreParallel computes the k-core with a round-synchronous parallel
-// peeling algorithm (workers ≤ 0 selects NumCPU).
+// KCoreParallel computes the k-core with the sharded bulk-synchronous
+// peel, split into as many vertex-block shards as workers and stopped
+// at the k-level fixpoint (workers ≤ 0 selects NumCPU).  The result
+// equals KCore's.
 func KCoreParallel(h *Hypergraph, k, workers int) *CoreResult {
-	return core.KCoreParallel(h, k, workers)
+	return core.ShardedKCore(h, k, core.ShardedOptions{Shards: workers, Workers: workers})
 }
 
 // BiCore computes the (k, l)-core: minimum vertex degree k AND minimum
@@ -157,7 +159,7 @@ func BiCoreCtx(ctx context.Context, h *Hypergraph, k, l int) (*CoreResult, error
 // checkpoints; worker panics are recovered and returned as a
 // *core.WorkerPanicError.
 func KCoreParallelCtx(ctx context.Context, h *Hypergraph, k, workers int) (*CoreResult, error) {
-	return core.KCoreParallelCtx(ctx, h, k, workers)
+	return core.ShardedKCoreCtx(ctx, h, k, core.ShardedOptions{Shards: workers, Workers: workers})
 }
 
 // GreedyCoverCtx is GreedyCover with cancellation and budget

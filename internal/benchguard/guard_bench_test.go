@@ -64,7 +64,7 @@ func BenchmarkGuardKCore(b *testing.B) {
 }
 
 // BenchmarkGuardShardedDecompose pins the sharded decomposition
-// engine (4 shards) so the round-synchronous peeling path cannot
+// engine (4 shards) so the bulk-synchronous peeling path cannot
 // silently regress.
 func BenchmarkGuardShardedDecompose(b *testing.B) {
 	h := guardInstance(b)

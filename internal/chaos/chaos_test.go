@@ -93,13 +93,13 @@ func drivers() map[string]func(t *testing.T, ctx context.Context) error {
 			return err
 		},
 		"core.parallel.worker": func(t *testing.T, ctx context.Context) error {
-			r, err := core.KCoreParallelCtx(ctx, bigH, 2, 4)
+			r, err := core.ShardedKCoreCtx(ctx, bigH, 2, core.ShardedOptions{Shards: 4, Workers: 4})
 			if err == nil {
 				if verr := check.ValidCore(bigH, 2, r); verr != nil {
-					t.Errorf("successful KCoreParallelCtx result invalid: %v", verr)
+					t.Errorf("successful ShardedKCoreCtx result invalid: %v", verr)
 				}
 			} else if r != nil {
-				t.Errorf("KCoreParallelCtx returned a result alongside error %v", err)
+				t.Errorf("ShardedKCoreCtx returned a result alongside error %v", err)
 			}
 			return err
 		},
@@ -517,7 +517,7 @@ func TestChaosErrorArmOverSweep(t *testing.T) {
 			return err
 		}},
 		{"core.parallel.worker", func(ctx context.Context, h *hypergraph.Hypergraph) error {
-			r, err := core.KCoreParallelCtx(ctx, h, 2, 3)
+			r, err := core.ShardedKCoreCtx(ctx, h, 2, core.ShardedOptions{Shards: 3, Workers: 2})
 			if err == nil {
 				return check.ValidCore(h, 2, r)
 			}
@@ -601,8 +601,8 @@ func TestChaosErrorArmOverSweep(t *testing.T) {
 	}
 }
 
-// TestChaosWorkerPanicDetail pins the parallel peeler's panic
-// boundary: an injected worker panic must come back as a
+// TestChaosWorkerPanicDetail pins the panic boundary of the sharded
+// k-core: an injected worker panic must come back as a
 // *core.WorkerPanicError carrying the site marker and a stack, with no
 // goroutine leaked.
 func TestChaosWorkerPanicDetail(t *testing.T) {
@@ -611,7 +611,7 @@ func TestChaosWorkerPanicDetail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer failpoint.Disable("core.parallel.worker")
-	r, err := core.KCoreParallelCtx(context.Background(), bigH, 2, 4)
+	r, err := core.ShardedKCoreCtx(context.Background(), bigH, 2, core.ShardedOptions{Shards: 4, Workers: 4})
 	failpoint.Disable("core.parallel.worker")
 	if r != nil {
 		t.Fatalf("got a result alongside the injected panic: %+v", r)

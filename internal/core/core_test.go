@@ -389,8 +389,8 @@ func TestPropertyKCoreMatchesParallel(t *testing.T) {
 		h := randomHypergraph(seed)
 		k := 1 + int(kRaw%4)
 		seq := KCore(h, k)
-		for _, workers := range []int{1, 2, 4} {
-			if !sameResult(h, seq, KCoreParallel(h, k, workers)) {
+		for _, n := range []int{1, 2, 4} {
+			if !sameResult(h, seq, ShardedKCore(h, k, ShardedOptions{Shards: n, Workers: n})) {
 				return false
 			}
 		}

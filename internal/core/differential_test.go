@@ -41,10 +41,11 @@ func TestDifferentialKCore(t *testing.T) {
 	}
 }
 
-// TestDifferentialKCoreParallel exercises the concurrent peeler with 1,
-// 2 and NumCPU workers (run under -race in CI) and requires exact
-// agreement with the sequential algorithm plus the invariant checker,
-// and that no worker goroutine outlives the calls.
+// TestDifferentialKCoreParallel pins the parallel k-core — the sharded
+// peel stopped at level k (ShardedKCore) — against KCore and KCoreNaive for every k from 0 to MaxK+1, over the
+// sweep instances and several shard and worker counts (run under -race
+// in CI), plus the invariant checker; no worker goroutine may outlive
+// the calls.
 func TestDifferentialKCoreParallel(t *testing.T) {
 	snapshot := check.GoroutineSnapshot()
 	defer func() {
@@ -52,27 +53,30 @@ func TestDifferentialKCoreParallel(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	workers := []int{1, 2, runtime.NumCPU()}
+	opts := []core.ShardedOptions{{Shards: 1, Workers: 1}, {Shards: 3, Workers: 2}, {Shards: 4, Workers: runtime.NumCPU()}}
 	for i, h := range check.Instances(58, 0xC04E2) {
-		for _, k := range []int{1, 2, 3} {
+		maxK := core.Decompose(h).MaxK
+		for k := 0; k <= maxK+1; k++ {
 			want := core.KCore(h, k)
-			for _, w := range workers {
-				got := core.KCoreParallel(h, k, w)
+			if err := check.SameResult(h, want, core.KCoreNaive(h, k)); err != nil {
+				t.Fatalf("instance %d %v, k=%d: KCore vs KCoreNaive: %v", i, h, k, err)
+			}
+			for _, o := range opts {
+				got := core.ShardedKCore(h, k, o)
 				if err := check.SameResult(h, got, want); err != nil {
-					t.Fatalf("instance %d %v, k=%d, workers=%d: parallel vs sequential: %v", i, h, k, w, err)
+					t.Fatalf("instance %d %v, k=%d, %+v: sharded vs sequential: %v", i, h, k, o, err)
 				}
 			}
-			if err := check.ValidCore(h, k, core.KCoreParallel(h, k, 2)); err != nil {
+			if err := check.ValidCore(h, k, core.ShardedKCore(h, k, opts[1])); err != nil {
 				t.Fatalf("instance %d %v, k=%d: %v", i, h, k, err)
 			}
 		}
 	}
 	h := dataset.Cellzome().H
 	want := core.KCore(h, 6)
-	for _, w := range workers {
-		got := core.KCoreParallel(h, 6, w)
-		if err := check.SameResult(h, got, want); err != nil {
-			t.Fatalf("Cellzome k=6, workers=%d: %v", w, err)
+	for _, o := range opts {
+		if err := check.SameResult(h, core.ShardedKCore(h, 6, o), want); err != nil {
+			t.Fatalf("Cellzome k=6, %+v: %v", o, err)
 		}
 	}
 }

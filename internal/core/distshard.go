@@ -1,27 +1,33 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"hyperplex/internal/csr"
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/partition"
+	"hyperplex/internal/run"
 )
 
-// This file is the engine layer's distributed face: the per-worker
-// peel state a coordinator/worker runtime (internal/dist) drives over a
-// wire instead of through in-memory outboxes.  A DistPeeler is one
-// worker's replica — the full hypergraph as a csr.CSR, the global
-// alive/degree/coreness mirrors every worker keeps in lockstep, and the
-// shardPeel arenas of the shards assigned to this worker.  The phase
-// methods mirror the bulk-synchronous schedule of shardedEngine
-// (sharded.go) exactly, with one twist: instead of pairwise outboxes,
-// each round's cross-shard traffic is two broadcast deltas — the dying
-// hyperedge IDs and the retired vertex IDs — which every replica
-// applies uniformly, so the mirrors never diverge.  Degree decrements,
-// alive flips and coreness clamps are commutative within a phase, so
-// the fixpoint per level (and therefore the coreness assignment) is
-// identical to Decompose and ShardedDecompose.
+// This file is the engine layer's one implementation of the
+// bulk-synchronous sharded peel.  A DistPeeler is a replica: the full
+// hypergraph as a csr.CSR, the global alive/degree/coreness mirrors,
+// and the shardPeel arenas of the shards assigned to it.  Each round's
+// cross-shard traffic is two broadcast deltas — the dying hyperedge IDs
+// and the retired vertex IDs — which every replica applies uniformly,
+// so the mirrors of several replicas never diverge.  Degree
+// decrements, alive flips and coreness clamps are commutative within a
+// phase, so the fixpoint per level (and therefore the coreness
+// assignment) is identical to Decompose.
+//
+// Two schedulers drive the same phase methods:
+//
+//   - ShardedDecomposeCtx and ShardedKCoreCtx (sharded.go) run one
+//     replica that owns every shard in process, fanning the per-shard
+//     check out over a goroutine pool;
+//   - the internal/dist coordinator runs one replica per worker and
+//     carries the deltas over the wire.
 //
 // Fault tolerance hangs off two snapshot layers:
 //
@@ -70,21 +76,90 @@ type PeelCheckpoint struct {
 	shards []*ShardSnapshot
 }
 
-// DistPeeler is one distributed worker's replica of the sharded peel:
-// the full hypergraph, the global mirrors, and the shardPeel arenas of
-// the shards assigned to it.  It is not safe for concurrent use; the
-// dist worker drives it from a single loop.
+// shardPeel is one shard's peel state, every int32 array of it carved
+// from a single arena.  Owned vertices are addressed by their offset j
+// in the contiguous owned block (global ID lo+j); the work lists hold
+// global IDs.
+type shardPeel struct {
+	lo int32 // first owned global vertex ID
+	n  int32 // owned vertex count
+
+	deg []int32 // current degree per owned vertex, indexed by j
+
+	// Lazy bucket queue over the owned vertices: head[d] is the top
+	// entry index of the degree-d bucket, next links entries, item
+	// holds the owned offset of each entry.  A vertex is re-pushed on
+	// every decrement; stale entries are skipped at gather time.
+	head, next, item []int32
+	nfree            int32
+	cur              int // lowest possibly-non-empty bucket
+
+	stamp    []int32 // per owned hyperedge, by owner-local index: last round it shrank
+	frontier []int32 // owned vertices gathered below the threshold this round
+	shrunk   []int32 // owned hyperedges to re-check: shrunk this round, or all of them at assignment
+
+	// dying is the shard's contribution to the next dying broadcast:
+	// the owned hyperedges its last check found empty or non-maximal.
+	//hyperplexvet:outbox
+	dying []int32
+
+	aliveV int
+}
+
+// push records that owned vertex j now has degree d.  Entries are
+// never removed eagerly; gathers skip entries whose recorded degree is
+// stale.
+func (p *shardPeel) push(j int32, d int) {
+	idx := p.nfree
+	p.nfree++
+	p.item[idx] = j
+	p.next[idx] = p.head[d]
+	p.head[d] = idx
+	if d < p.cur {
+		p.cur = d
+	}
+}
+
+// phaseCheckEvery bounds the elementary operations a phase method
+// performs between two cancellation/budget checkpoints.
+const phaseCheckEvery = 1 << 12
+
+// phaseTick accrues one phase call's elementary operations and hands
+// them to run.Tick once phaseCheckEvery have built up; flush charges
+// the remainder when the phase ends.
+type phaseTick struct {
+	meter *run.Meter
+	ops   int
+}
+
+func (t *phaseTick) charge(ctx context.Context, n int) error {
+	t.ops += n
+	if t.ops < phaseCheckEvery {
+		return nil
+	}
+	return t.flush(ctx)
+}
+
+func (t *phaseTick) flush(ctx context.Context) error {
+	n := t.ops
+	t.ops = 0
+	return run.Tick(ctx, t.meter, int64(n))
+}
+
+// DistPeeler is one replica of the sharded peel: the full hypergraph,
+// the global mirrors, and the shardPeel arenas of the shards assigned
+// to it.  It is not safe for concurrent use, except that distinct
+// shards may be checked concurrently (sharded.go).
 type DistPeeler struct {
 	c    *csr.CSR
 	part *partition.Partition
 
 	vAlive, eAlive []bool
-	eDeg           []int32
+	eDeg           []int32 // alive member count per hyperedge, zero once dead: the detector's snapshot
 	vCore, eCore   []int
 
 	// eLocal maps a global hyperedge ID to its owner-local index (its
-	// position in part.Shards[owner].Edges), shared by every shard's
-	// stamp addressing.
+	// position in part.Shards[owner].Edges), the stamp address.
 	eLocal []int32
 
 	shards []*shardPeel // indexed by shard; nil when not owned here
@@ -118,10 +193,12 @@ func NewDistPeeler(h *hypergraph.Hypergraph, part *partition.Partition) *DistPee
 		w.eAlive[f] = true
 		w.eDeg[f] = int32(h.EdgeDegree(f))
 	}
-	for s := range part.Shards {
-		for i, g := range part.Shards[s].Edges {
-			w.eLocal[g] = int32(i)
-		}
+	// Each shard lists its hyperedges in ascending ID order, so a
+	// running count per owner yields every owner-local index.
+	next := make([]int32, part.NumShards())
+	for g, s := range part.EdgeOwner {
+		w.eLocal[g] = next[s]
+		next[s]++
 	}
 	return w
 }
@@ -162,9 +239,8 @@ func (w *DistPeeler) newShard(s int) *shardPeel {
 	}
 	ne := csr.MustInt32(len(sh.Edges))
 	entries := n + ownedInc
-	// One arena allocation backs every int32 slice of the shard — the
-	// same carve discipline as shardedEngine.setupShard, so the work
-	// lists shared through shardPeel stay arena-owned everywhere.
+	// One arena allocation backs every int32 slice of the shard, so the
+	// work lists the phases append to are arena-owned everywhere.
 	arena := make([]int32, n+(maxDeg+1)+2*entries+ne+n+2*ne)
 	carve := func(sz int32) []int32 {
 		s := arena[:sz:sz]
@@ -189,31 +265,33 @@ func (w *DistPeeler) newShard(s int) *shardPeel {
 	return p
 }
 
-// AssignFresh assigns shard s to this replica in its initial state and
-// runs the round-0 reduction over its owned hyperedges (empty and
-// initially non-maximal hyperedges die at coreness 0, exactly like
-// shardedEngine.checkInitial).  It returns the shard's first barrier
-// snapshot.
-func (w *DistPeeler) AssignFresh(s int) *ShardSnapshot {
+// assignFresh assigns shard s to this replica in its initial state,
+// with every owned hyperedge queued for the round-0 check.
+func (w *DistPeeler) assignFresh(s int) {
 	p := w.newShard(s)
 	for j := int32(0); j < p.n; j++ {
 		p.deg[j] = w.c.VertexDegree(p.lo + j)
 		p.push(j, int(p.deg[j]))
 	}
 	p.aliveV = int(p.n)
+	p.shrunk = append(p.shrunk, w.part.Shards[s].Edges...)
 	w.shards[s] = p
-	for i, g := range w.part.Shards[s].Edges {
-		if w.checkDead(g) {
-			p.dying = append(p.dying, int32(i))
-		}
-	}
-	return w.snapshotShard(s)
+}
+
+// AssignFresh assigns shard s to this replica in its initial state and
+// runs the round-0 reduction over its owned hyperedges (empty and
+// initially non-maximal hyperedges die at coreness 0).  It returns the
+// shard's first barrier snapshot.
+func (w *DistPeeler) AssignFresh(s int) *ShardSnapshot {
+	w.assignFresh(s)
+	w.checkShard(s, w.det)
+	return w.Snapshot(s)
 }
 
 // AssignSnapshot assigns shard s to this replica, restored from a
 // barrier snapshot: degrees come from the snapshot, the bucket queue is
 // rebuilt with one push per alive owned vertex at its current degree,
-// and the pending dying list is mapped back to owner-local indices.
+// and the pending dying list is validated against the partition.
 // The global mirrors must already be at the same barrier.
 func (w *DistPeeler) AssignSnapshot(sn *ShardSnapshot) error {
 	s := int(sn.Shard)
@@ -235,7 +313,7 @@ func (w *DistPeeler) AssignSnapshot(sn *ShardSnapshot) error {
 		if g < 0 || int(g) >= len(w.eLocal) || w.part.EdgeOwner[g] != int32(s) {
 			return fmt.Errorf("core: dist shard %d snapshot dying edge %d is not owned by it", s, g)
 		}
-		p.dying = append(p.dying, w.eLocal[g])
+		p.dying = append(p.dying, g)
 	}
 	w.shards[s] = p
 	return nil
@@ -244,22 +322,18 @@ func (w *DistPeeler) AssignSnapshot(sn *ShardSnapshot) error {
 // DropShard releases shard s (its owner moved elsewhere).
 func (w *DistPeeler) DropShard(s int) { w.shards[s] = nil }
 
-// snapshotShard captures shard s's barrier state.
-func (w *DistPeeler) snapshotShard(s int) *ShardSnapshot {
+// Snapshot captures owned shard s's barrier state.
+func (w *DistPeeler) Snapshot(s int) *ShardSnapshot {
 	p := w.shards[s]
-	sn := &ShardSnapshot{
+	return &ShardSnapshot{
 		Shard:  int32(s),
 		AliveV: int32(p.aliveV),
 		Deg:    append([]int32(nil), p.deg...),
-		Dying:  make([]int32, 0, len(p.dying)),
+		Dying:  append([]int32(nil), p.dying...),
 	}
-	for _, fi := range p.dying {
-		sn.Dying = append(sn.Dying, w.part.Shards[s].Edges[fi])
-	}
-	return sn
 }
 
-// clampCore mirrors shardedEngine.clampCore: state retired while
+// clampCore is the shared coreness assignment: state retired while
 // peeling toward threshold k belonged to the (k-1)-core.
 func (w *DistPeeler) clampCore() int {
 	if w.k < 1 {
@@ -268,24 +342,22 @@ func (w *DistPeeler) clampCore() int {
 	return w.k - 1
 }
 
-// checkDead reports whether hyperedge g (global ID) is empty or
-// non-maximal against the current stable snapshot.
-func (w *DistPeeler) checkDead(g int32) bool {
-	return w.eDeg[g] == 0 || w.det.NonMaximal(g, w.vAlive, w.eDeg)
-}
-
 // ApplyDying applies a round's broadcast dying-hyperedge delta at
 // threshold k: every replica retires the edges in its mirrors, and the
 // owners of their alive members decrement those vertices' degrees
 // (re-pushing them at the new bucket).  The union must cover every
 // shard's pending dying list; the pending lists are consumed.
-func (w *DistPeeler) ApplyDying(k int, dying []int32) {
+//
+//hyperplexvet:hotpath
+func (w *DistPeeler) ApplyDying(ctx context.Context, k int, dying []int32) error {
 	w.k = k
+	t := phaseTick{meter: run.MeterFrom(ctx)}
 	for _, g := range dying {
 		w.eAlive[g] = false
 		w.eDeg[g] = 0
 		w.eCore[g] = w.clampCore()
-		for _, v := range w.c.EdgeVertices(g) {
+		members := w.c.EdgeVertices(g)
+		for _, v := range members {
 			if !w.vAlive[v] {
 				continue
 			}
@@ -295,78 +367,95 @@ func (w *DistPeeler) ApplyDying(k int, dying []int32) {
 				p.push(j, int(p.deg[j]))
 			}
 		}
+		if err := t.charge(ctx, 1+len(members)); err != nil {
+			return err
+		}
 	}
 	for _, p := range w.shards {
 		if p != nil {
 			p.dying = p.dying[:0]
 		}
 	}
+	return t.flush(ctx)
 }
 
 // GatherFrontier gathers every owned shard's frontier — alive owned
 // vertices whose degree fell below the threshold — from the bucket
-// queues with the same stale-skipping discipline as the sharded
-// engine, and returns the local frontier size and alive-vertex count
-// for the coordinator's barrier vote.
-func (w *DistPeeler) GatherFrontier() (frontier, alive int) {
+// queues, skipping stale entries (each alive owned vertex below the
+// threshold has exactly one current entry, pushed by its last
+// decrement), and returns the local frontier size and alive-vertex
+// count for the barrier vote.
+//
+//hyperplexvet:hotpath
+func (w *DistPeeler) GatherFrontier(ctx context.Context) (frontier, alive int, err error) {
+	t := phaseTick{meter: run.MeterFrom(ctx)}
 	for _, p := range w.shards {
+		if err := t.charge(ctx, 1); err != nil {
+			return 0, 0, err
+		}
 		if p == nil {
 			continue
 		}
 		p.frontier = p.frontier[:0]
-		top := w.k
-		if top > len(p.head) {
-			top = len(p.head)
-		}
+		top := min(w.k, len(p.head))
 		for d := p.cur; d < top; d++ {
+			pops := 0
 			for idx := p.head[d]; idx != -1; idx = p.next[idx] {
+				pops++
 				j := p.item[idx]
 				if w.vAlive[p.lo+j] && int(p.deg[j]) == d {
-					p.frontier = append(p.frontier, j)
+					p.frontier = append(p.frontier, p.lo+j)
 				}
 			}
 			p.head[d] = -1
+			if err := t.charge(ctx, pops); err != nil {
+				return 0, 0, err
+			}
 		}
-		if p.cur < top {
-			p.cur = top
-		}
+		p.cur = max(p.cur, top)
 		frontier += len(p.frontier)
 		alive += p.aliveV
 	}
-	return frontier, alive
+	return frontier, alive, t.flush(ctx)
 }
 
-// CollectRetired drains the gathered frontiers as global vertex IDs for
-// the retire broadcast.  Nothing is applied yet: the coordinator
-// gathers every worker's contribution and broadcasts the union, which
-// ApplyRetired then applies uniformly.
-func (w *DistPeeler) CollectRetired() []int32 {
-	var out []int32
+// CollectRetired drains the gathered frontiers into dst, as global
+// vertex IDs for the retire broadcast, and returns the extended slice.
+// dst must have spare capacity for every gathered vertex (NumVertices
+// always suffices), so the hand-off never allocates.  Nothing is
+// applied yet: the scheduler gathers every replica's contribution and
+// broadcasts the union, which ApplyRetired then applies uniformly.
+//
+//hyperplexvet:hotpath
+func (w *DistPeeler) CollectRetired(dst []int32) []int32 {
 	for _, p := range w.shards {
-		if p == nil {
-			continue
+		if p != nil {
+			n := len(dst)
+			dst = dst[:n+len(p.frontier)]
+			copy(dst[n:], p.frontier)
+			p.frontier = p.frontier[:0]
 		}
-		for _, j := range p.frontier {
-			out = append(out, p.lo+j)
-		}
-		p.frontier = p.frontier[:0]
 	}
-	return out
+	return dst
 }
 
 // ApplyRetired applies a round's broadcast retired-vertex delta: every
 // replica retires the vertices in its mirrors and decrements the
 // degrees of their alive hyperedges, and the owners of those hyperedges
-// record first-shrink stamps for the re-check phase.
-func (w *DistPeeler) ApplyRetired(retired []int32) {
+// queue them, once per round, for the shrunk-edge check.
+//
+//hyperplexvet:hotpath
+func (w *DistPeeler) ApplyRetired(ctx context.Context, retired []int32) error {
 	w.round++
+	t := phaseTick{meter: run.MeterFrom(ctx)}
 	for _, vg := range retired {
 		w.vAlive[vg] = false
 		w.vCore[vg] = w.clampCore()
 		if p := w.shards[w.part.VertexOwner[vg]]; p != nil {
 			p.aliveV--
 		}
-		for _, g := range w.c.VertexEdges(vg) {
+		edges := w.c.VertexEdges(vg)
+		for _, g := range edges {
 			if !w.eAlive[g] {
 				continue
 			}
@@ -375,36 +464,71 @@ func (w *DistPeeler) ApplyRetired(retired []int32) {
 				fi := w.eLocal[g]
 				if ps.stamp[fi] != w.round {
 					ps.stamp[fi] = w.round
-					ps.shrunk = append(ps.shrunk, fi)
+					ps.shrunk = append(ps.shrunk, g)
 				}
 			}
 		}
+		if err := t.charge(ctx, 1+len(edges)); err != nil {
+			return err
+		}
+	}
+	return t.flush(ctx)
+}
+
+// CheckShrunk runs the shrunk-edge check on every owned shard in turn,
+// refilling each shard's pending dying list.  Snapshot then serves the
+// barrier state.
+//
+//hyperplexvet:hotpath
+func (w *DistPeeler) CheckShrunk() {
+	for s, p := range w.shards {
+		if p != nil {
+			w.checkShard(s, w.det)
+		}
 	}
 }
 
-// CheckShrunk re-checks every owned hyperedge that shrank this round
-// for emptiness or non-maximality, refilling each shard's pending
-// dying list, and returns the barrier snapshot of every owned shard.
-func (w *DistPeeler) CheckShrunk() []*ShardSnapshot {
-	var out []*ShardSnapshot
-	for s, p := range w.shards {
-		if p == nil {
-			continue
+// checkShard re-checks the queued hyperedges of shard s for emptiness
+// or non-maximality against the mirrors, refills the shard's pending
+// dying list, and returns the number checked.  It reads only the
+// mirrors, which no phase writes while checks run, and writes only
+// shard s's peel and det's scratch — so distinct shards may be checked
+// concurrently, one detector fork per goroutine.
+//
+//hyperplexvet:phase owned
+//hyperplexvet:hotpath
+func (w *DistPeeler) checkShard(s int, det *csr.Detector) int {
+	p := w.shards[s]
+	p.dying = p.dying[:0]
+	for _, g := range p.shrunk {
+		if w.eDeg[g] == 0 || det.NonMaximal(g, w.vAlive, w.eDeg) {
+			p.dying = append(p.dying, g)
 		}
-		p.dying = p.dying[:0]
-		for _, fi := range p.shrunk {
-			if w.checkDead(w.part.Shards[s].Edges[fi]) {
-				p.dying = append(p.dying, fi)
-			}
-		}
-		p.shrunk = p.shrunk[:0]
-		out = append(out, w.snapshotShard(s))
 	}
-	return out
+	n := len(p.shrunk)
+	p.shrunk = p.shrunk[:0]
+	return n
+}
+
+// appendDying appends every owned shard's pending dying hyperedges to
+// dst and returns the extended slice: the in-process scheduler's dying
+// broadcast.  Like CollectRetired it never allocates; dst must have
+// spare capacity for them (NumEdges always suffices).
+//
+//hyperplexvet:hotpath
+func (w *DistPeeler) appendDying(dst []int32) []int32 {
+	for _, p := range w.shards {
+		if p != nil {
+			n := len(dst)
+			dst = dst[:n+len(p.dying)]
+			copy(dst[n:], p.dying)
+		}
+	}
+	return dst
 }
 
 // Coreness copies out the replica's coreness mirrors.  Valid once the
-// coordinator has driven every vertex to retirement; every replica
+// scheduler has driven every vertex to retirement; every replica
 // holds the full arrays, so any worker can serve the result.
 func (w *DistPeeler) Coreness() (vCore, eCore []int) {
 	return append([]int(nil), w.vCore...), append([]int(nil), w.eCore...)
@@ -425,7 +549,7 @@ func (w *DistPeeler) Checkpoint() *PeelCheckpoint {
 	}
 	for s, p := range w.shards {
 		if p != nil {
-			cp.shards = append(cp.shards, w.snapshotShard(s))
+			cp.shards = append(cp.shards, w.Snapshot(s))
 		}
 	}
 	return cp

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"hyperplex/internal/gen"
@@ -33,14 +34,21 @@ func distDriver(t *testing.T, h *hypergraph.Hypergraph, shards, nw int,
 		barrier(0, round, workers)
 	}
 	maxK := 0
+	ctx := context.Background()
+	retired := make([]int32, 0, h.NumVertices())
 	for k := 1; ; k++ {
 		for {
 			for _, w := range workers {
-				w.ApplyDying(k, dying)
+				if err := w.ApplyDying(ctx, k, dying); err != nil {
+					t.Fatal(err)
+				}
 			}
 			frontier, alive := 0, 0
 			for _, w := range workers {
-				f, a := w.GatherFrontier()
+				f, a, err := w.GatherFrontier(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
 				frontier += f
 				alive += a
 			}
@@ -52,17 +60,20 @@ func distDriver(t *testing.T, h *hypergraph.Hypergraph, shards, nw int,
 				maxK = k
 				break
 			}
-			var retired []int32
+			retired = retired[:0]
 			for _, w := range workers {
-				retired = append(retired, w.CollectRetired()...)
+				retired = w.CollectRetired(retired)
 			}
 			for _, w := range workers {
-				w.ApplyRetired(retired)
+				if err := w.ApplyRetired(ctx, retired); err != nil {
+					t.Fatal(err)
+				}
 			}
 			dying = dying[:0]
 			for _, w := range workers {
-				for _, sn := range w.CheckShrunk() {
-					dying = append(dying, sn.Dying...)
+				w.CheckShrunk()
+				for _, s := range w.Owned() {
+					dying = append(dying, w.Snapshot(s).Dying...)
 				}
 			}
 			round++
@@ -98,8 +109,8 @@ func checkSnapshotContract(t *testing.T, w *DistPeeler) {
 
 // sameDecomposition asserts exact equality of vertex coreness and MaxK
 // against the sequential peeler, plus hyperedge coreness against the
-// in-process sharded engine (whose round schedule the dist peeler
-// replays exactly).
+// in-process scheduler (hyperedge coreness follows the round schedule,
+// which every scheduler of the phase methods shares).
 func sameDecomposition(t *testing.T, h *hypergraph.Hypergraph, got *Decomposition, label string) {
 	t.Helper()
 	want := Decompose(h)
@@ -234,7 +245,7 @@ func TestDistPeelerReassignment(t *testing.T) {
 		// worker 1 died at this barrier and the coordinator replayed
 		// its snapshots onto the survivor.
 		for _, s := range workers[1].Owned() {
-			sn := workers[1].snapshotShard(s)
+			sn := workers[1].Snapshot(s)
 			workers[1].DropShard(s)
 			if err := workers[0].AssignSnapshot(sn); err != nil {
 				t.Fatalf("reassign shard %d: %v", s, err)

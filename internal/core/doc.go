@@ -23,11 +23,14 @@
 //   - KCore / Decomposition: the sequential overlap-count algorithm.
 //   - KCoreNaive: a fixpoint reference that re-scans for containment
 //     each round; used by tests and the maximality ablation benchmark.
-//   - KCoreParallel: a round-synchronous peeling algorithm answering
-//     the paper's call ("for large hypergraphs, a parallel algorithm
-//     will need to be designed").
-//   - ShardedDecompose: a BSP decomposition engine over vertex-block
-//     shards from internal/partition, peeling shards in synchronized
-//     rounds with cross-shard deltas exchanged at barriers.  Vertex
-//     coreness and MaxK match Decompose exactly on every input.
+//   - CSRDecompose: the bucket-queue peeler over the flat-array kernel
+//     substrate (internal/csr).
+//   - ShardedDecompose and ShardedKCore: the bulk-synchronous sharded
+//     peel answering the paper's call ("for large hypergraphs, a
+//     parallel algorithm will need to be designed").  One replica
+//     (DistPeeler) implements the phases over vertex-block shards from
+//     internal/partition; the in-process scheduler fans its shard
+//     checks out over goroutines and internal/dist drives replicas over
+//     the wire.  Vertex coreness and MaxK match Decompose exactly on
+//     every input, and ShardedKCore stops at the k-level fixpoint.
 package core

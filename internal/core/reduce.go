@@ -20,10 +20,9 @@ import (
 //     alive snapshot — flat vAlive and eDeg arrays, dead hyperedges at
 //     eDeg == 0 — by intersecting the vertex rows of f's rarest members
 //     and probing the few surviving candidates member by member.  It is
-//     the kernel layer's one detector: the CSR peeler, the sharded
-//     engine (sharded.go), the distributed replica (distshard.go) and
-//     the round-synchronous parallel peeler (parallel.go) all call it,
-//     each worker with its own fork of the stamp scratch.
+//     the kernel layer's one detector: the CSR peeler and the sharded
+//     peel's replica (distshard.go, in process and distributed) both
+//     call it, each worker with its own fork of the stamp scratch.
 //
 // Both apply the shared tie-break for equal hyperedges: of two alive
 // hyperedges with identical member sets, the lower-ID copy is the

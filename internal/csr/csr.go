@@ -24,9 +24,8 @@ import (
 // containing vertex v are VAdj[VOff[v]:VOff[v+1]], vertices of
 // hyperedge f are EAdj[EOff[f]:EOff[f+1]], both sorted ascending.
 // All IDs are dense int32 local to this CSR; when the CSR is a block
-// of a larger hypergraph (partition.MaterializeCSR), VertexID and
-// EdgeID map local IDs back to the original ones.  Kernels must treat
-// every slice as read-only.
+// of a larger hypergraph, VertexID and EdgeID map local IDs back to
+// the original ones.  Kernels must treat every slice as read-only.
 type CSR struct {
 	VOff []int32 // len NumVertices()+1
 	VAdj []int32 // vertex→edge pins

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"hyperplex/internal/hypergraph"
+	"hyperplex/internal/xrand"
 )
 
 // snapshot is an alive state of a CSR in the detector's contract: a
@@ -219,4 +220,68 @@ func FuzzNonMaximal(f *testing.F) {
 		d, s := decodeInstance(t, data)
 		checkAll(t, d, s)
 	})
+}
+
+// insertionOrder is the reference witness order: the CSR row sorted by
+// ascending static vertex row length with a plain insertion sort,
+// which keeps equal lengths in ID order.
+func insertionOrder(c *CSR, f int32) []int32 {
+	row := slices.Clone(c.EdgeVertices(f))
+	for i := 1; i < len(row); i++ {
+		w := row[i]
+		j := i - 1
+		for ; j >= 0 && c.VertexDegree(row[j]) > c.VertexDegree(w); j-- {
+			row[j+1] = row[j]
+		}
+		row[j+1] = w
+	}
+	return row
+}
+
+// TestSortWitnessesOrder pins the witness rows to the insertion order
+// on both sides of insertionSortMax: random rows of mixed lengths, and
+// a long worst-case row whose members arrive in descending row length
+// (every insertion would shift to the front).
+func TestSortWitnessesOrder(t *testing.T) {
+	rng := xrand.New(0x5027)
+	const nv = 900
+	var edges [][]int32
+	for i := 0; i < 60; i++ {
+		n := 1 + rng.Intn(2*insertionSortMax)
+		seen := map[int32]bool{}
+		var row []int32
+		for len(row) < n {
+			if v := int32(rng.Intn(nv)); !seen[v] {
+				seen[v] = true
+				row = append(row, v)
+			}
+		}
+		slices.Sort(row)
+		edges = append(edges, row)
+	}
+	// Vertex v of the long row gets degree nv-v from singleton edges
+	// padding it out, so ascending IDs mean descending row lengths.
+	long := make([]int32, 0, nv)
+	for v := int32(0); v < nv; v++ {
+		long = append(long, v)
+		for k := int32(0); k < (nv-v)/64; k++ {
+			edges = append(edges, []int32{v})
+		}
+	}
+	edges = append(edges, long)
+	c := mustCSR(t, nv, edges)
+	d := NewDetector(c)
+	longRows := 0
+	for f := int32(0); f < int32(c.NumEdges()); f++ {
+		got := d.mem[c.EOff[f]:c.EOff[f+1]]
+		if len(got) > insertionSortMax {
+			longRows++
+		}
+		if want := insertionOrder(c, f); !slices.Equal(got, want) {
+			t.Fatalf("hyperedge %d (%d members): witness row %v, want %v", f, len(got), got, want)
+		}
+	}
+	if longRows < 2 {
+		t.Fatalf("only %d rows longer than %d; the stable-sort path is untested", longRows, insertionSortMax)
+	}
 }

@@ -185,6 +185,15 @@ func TestDistHeartbeatDeath(t *testing.T) {
 		h := dataset.Cellzome().H
 		opts := fastOpts()
 		opts.HeartbeatInterval = 5 * time.Millisecond
+		// Hold the first committed barrier until a heartbeat has
+		// panicked, so the worker death lands mid-run however fast the
+		// peel finishes.
+		opts.OnBarrier = func(_, _ int32, _ func(int)) {
+			deadline := time.Now().Add(5 * time.Second)
+			for failpoint.Fired("dist.heartbeat") == 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+		}
 		d, err := Decompose(h, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -15,6 +15,7 @@ import (
 	"hyperplex/internal/failpoint"
 	"hyperplex/internal/hypergraph"
 	"hyperplex/internal/partition"
+	"hyperplex/internal/run"
 )
 
 // fpHeartbeat fires before every heartbeat send; the chaos suite's
@@ -69,9 +70,10 @@ type workerState struct {
 
 	wmu sync.Mutex // serializes frame writes (main loop vs heartbeat)
 
-	h      *hypergraph.Hypergraph
-	part   *partition.Partition
-	peeler *core.DistPeeler
+	h       *hypergraph.Hypergraph
+	part    *partition.Partition
+	peeler  *core.DistPeeler
+	retired []int32 // CollectRetired's buffer, room for every vertex
 
 	epoch              uint32
 	pending, committed *tagged
@@ -217,7 +219,7 @@ func (w *workerState) handle(ctx context.Context, typ byte, payload []byte) erro
 			return err
 		}
 		w.epoch = m.Epoch
-		m.IDs = w.peelerOrNil().CollectRetired()
+		m.IDs = w.peelerOrNil().CollectRetired(w.retired[:0])
 		return w.send(mRetired, m.encode())
 	case mShrink:
 		var m msgRound
@@ -260,6 +262,7 @@ func (w *workerState) load(ctx context.Context, m *msgLoad) error {
 	}
 	w.h, w.part = h, part
 	w.peeler = core.NewDistPeeler(h, part)
+	w.retired = make([]int32, 0, h.NumVertices())
 	w.pending, w.committed = nil, nil
 	return nil
 }
@@ -325,6 +328,16 @@ func (w *workerState) rollback(m *msgRound) error {
 	return nil
 }
 
+// phaseCtx is the context the peel phases run under: the worker's
+// own, with a fresh unlimited meter.  The coordinator owns the run's
+// budget and paces the phases frame by frame; an in-process worker
+// shares the coordinator's context, and its peel work must not count
+// as coordinator steps.
+func (w *workerState) phaseCtx() context.Context {
+	ctx, _ := run.WithBudget(w.ctx, run.Budget{})
+	return ctx
+}
+
 func (w *workerState) apply(m *msgRound) error {
 	w.epoch = m.Epoch
 	// An Apply frame means the coordinator committed the barrier this
@@ -332,16 +345,28 @@ func (w *workerState) apply(m *msgRound) error {
 	if w.pending != nil {
 		w.committed, w.pending = w.pending, nil
 	}
-	w.peelerOrNil().ApplyDying(int(m.K), m.IDs)
-	f, a := w.peeler.GatherFrontier()
+	ctx := w.phaseCtx()
+	if err := w.peelerOrNil().ApplyDying(ctx, int(m.K), m.IDs); err != nil {
+		return err
+	}
+	f, a, err := w.peeler.GatherFrontier(ctx)
+	if err != nil {
+		return err
+	}
 	reply := msgRound{Epoch: w.epoch, K: m.K, Round: m.Round, A: int32(f), B: int32(a)}
 	return w.send(mFrontier, reply.encode())
 }
 
 func (w *workerState) shrink(m *msgRound) error {
 	w.epoch = m.Epoch
-	w.peelerOrNil().ApplyRetired(m.IDs)
-	snaps := w.peeler.CheckShrunk()
+	if err := w.peelerOrNil().ApplyRetired(w.phaseCtx(), m.IDs); err != nil {
+		return err
+	}
+	w.peeler.CheckShrunk()
+	var snaps []*core.ShardSnapshot
+	for _, s := range w.peeler.Owned() {
+		snaps = append(snaps, w.peeler.Snapshot(s))
+	}
 	// Tentative checkpoint: this barrier is committed only once every
 	// worker's vote lands, which the next Apply frame confirms.
 	w.pending = &tagged{k: m.K, round: m.Round, cp: w.peeler.Checkpoint()}

@@ -64,15 +64,17 @@ func TestCollectFactsMultiPackage(t *testing.T) {
 		}
 	}
 
-	if !hasNamed(core.OutboxFields, "outV") || !hasNamed(core.OutboxFields, "outE") {
-		t.Error("core outbox marks on shardPeel.outV/outE not collected")
+	if !hasNamed(core.OutboxFields, "dying") {
+		t.Error("core outbox mark on shardPeel.dying not collected")
 	}
+	// The sharded peel's one concurrent phase is the owned per-shard
+	// check; drain phases are pinned by the snapshotphase fixture.
 	kinds := map[string]int{}
 	for _, kind := range core.Phases {
 		kinds[kind]++
 	}
-	if kinds["owned"] == 0 || kinds["drain"] == 0 {
-		t.Errorf("core phase marks = %v, want both owned and drain functions", kinds)
+	if kinds["owned"] == 0 {
+		t.Errorf("core phase marks = %v, want the owned check phase", kinds)
 	}
 	marked := 0
 	for _, lines := range core.HotMarks {

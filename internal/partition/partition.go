@@ -1,5 +1,5 @@
 // Package partition splits a hypergraph into contiguous vertex-block
-// shards for the sharded peeling engine (internal/core, sharded.go).
+// shards for the sharded peel (internal/core, distshard.go).
 // Each shard owns a block of vertices and the hyperedges anchored in
 // it; hyperedges whose members span several blocks are tracked as cut
 // edges, and the non-owned vertices reachable through owned hyperedges
@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
 
 	"hyperplex/internal/csr"
 	"hyperplex/internal/failpoint"
@@ -29,8 +28,7 @@ var fpBuild = failpoint.Register("partition.build")
 const buildCheckEvery = 64
 
 // Shard is one block of a Partition.  All IDs are the original
-// hypergraph's; the old↔new maps of a materialized sub-hypergraph come
-// from Materialize.
+// hypergraph's.
 type Shard struct {
 	Index    int
 	Vertices []int32 // owned vertices (ascending: a contiguous block)
@@ -60,7 +58,7 @@ type Partition struct {
 }
 
 // The accessors below dispatch to whichever backing is present, so the
-// block balancing, assembly, and materialization code is written once.
+// block balancing and assembly code is written once.
 
 func (p *Partition) numVertices() int {
 	if p.C != nil {
@@ -90,25 +88,11 @@ func (p *Partition) vertexDegree(v int) int {
 	return p.H.VertexDegree(v)
 }
 
-func (p *Partition) edgeDegree(f int) int {
-	if p.C != nil {
-		return int(p.C.EdgeDegree(int32(f)))
-	}
-	return p.H.EdgeDegree(f)
-}
-
 func (p *Partition) edgeVertices(f int) []int32 {
 	if p.C != nil {
 		return p.C.EdgeVertices(int32(f))
 	}
 	return p.H.Vertices(f)
-}
-
-func (p *Partition) vertexEdges(v int) []int32 {
-	if p.C != nil {
-		return p.C.VertexEdges(int32(v))
-	}
-	return p.H.Edges(v)
 }
 
 // NumShards returns the number of shards.
@@ -151,9 +135,8 @@ func BuildCtx(ctx context.Context, h *hypergraph.Hypergraph, shards int) (*Parti
 
 // BuildCSR partitions a bare CSR — typically the mapped arrays of a
 // store file — into the requested number of shards.  The result has no
-// Hypergraph backing (H is nil): Materialize is unavailable, but
-// MaterializeCSR, RemoteEdges, and the descriptor round trip all work,
-// which is everything the sharded peeler needs.
+// Hypergraph backing (H is nil); ownership, shards and the descriptor
+// round trip are identical to Build's.
 func BuildCSR(c *csr.CSR, shards int) *Partition {
 	p, err := BuildCSRCtx(context.Background(), c, shards)
 	if err != nil {
@@ -370,131 +353,4 @@ func (p *Partition) assemble(ctx context.Context, meter *run.Meter) error {
 		}
 	}
 	return nil
-}
-
-// Materialize builds the standalone sub-hypergraph of shard s: its
-// owned hyperedges restricted to nothing (owned and frontier vertices
-// are all kept, so owned hyperedges survive intact).  The returned
-// maps give old-ID → new-ID for vertices and hyperedges, as
-// hypergraph.Sub defines them.
-func (p *Partition) Materialize(s int) (*hypergraph.Hypergraph, map[int]int, map[int]int) {
-	if p.H == nil {
-		//hyperplexvet:ignore nopanic API misuse invariant: a BuildCSR partition has no named-vertex backing to materialize from, and the signature has no error slot
-		panic("partition: Materialize needs a Hypergraph backing; a BuildCSR partition only supports MaterializeCSR")
-	}
-	sh := &p.Shards[s]
-	keepV := make([]bool, p.H.NumVertices())
-	for _, v := range sh.Vertices {
-		keepV[v] = true
-	}
-	for _, v := range sh.Frontier {
-		keepV[v] = true
-	}
-	keepF := make([]bool, p.H.NumEdges())
-	for _, f := range sh.Edges {
-		keepF[f] = true
-	}
-	return p.H.Sub(keepV, keepF)
-}
-
-// MaterializeCSR builds shard s's block directly in the flat-array
-// kernel substrate: a csr.CSR over the shard's owned-plus-frontier
-// vertices and owned hyperedges, with local IDs assigned in ascending
-// original-ID order (the same numbering hypergraph.Sub produces).  The
-// CSR's VertexID and EdgeID arrays carry the original IDs, so the
-// block's peel results and any exchange deltas are flat int32 slices
-// mapping straight back to the full hypergraph — no maps, no name
-// tables.  Compared to Materialize it skips the builder layer
-// entirely: no vertex/edge names are synthesized, and construction is
-// O(block pins) with a binary search per pin.
-func (p *Partition) MaterializeCSR(s int) *csr.CSR {
-	sh := &p.Shards[s]
-	// Local vertex IDs: the sorted union of owned (already ascending)
-	// and frontier vertices; the two sets are disjoint and internally
-	// duplicate-free, so the union is strictly ascending after sorting.
-	keep := make([]int32, 0, len(sh.Vertices)+len(sh.Frontier))
-	keep = append(keep, sh.Vertices...)
-	keep = append(keep, sh.Frontier...)
-	slices.Sort(keep)
-	nv, ne := len(keep), len(sh.Edges)
-
-	eOff := make([]int32, ne+1)
-	for i, f := range sh.Edges {
-		eOff[i+1] = eOff[i] + int32(p.edgeDegree(int(f)))
-	}
-	// Scatter the local IDs into a global-indexed lookup: O(|V|) zeroed
-	// allocation plus O(1) per pin beats a binary search per pin.
-	local := make([]int32, p.numVertices())
-	for j, v := range keep {
-		local[v] = int32(j)
-	}
-	eAdj := make([]int32, eOff[ne])
-	for i, f := range sh.Edges {
-		row := eAdj[eOff[i]:eOff[i]]
-		for _, v := range p.edgeVertices(int(f)) {
-			// Owned hyperedges lose no members: every member is owned or
-			// on the frontier, so the lookup always hits.
-			row = append(row, local[v])
-		}
-	}
-
-	// Vertex side by counting sort over the local pins; edges are
-	// appended in ascending local ID, so each row comes out sorted.
-	vOff := make([]int32, nv+1)
-	for _, x := range eAdj {
-		vOff[x+1]++
-	}
-	for v := 0; v < nv; v++ {
-		vOff[v+1] += vOff[v]
-	}
-	vAdj := make([]int32, len(eAdj))
-	cursor := append([]int32(nil), vOff[:nv]...)
-	for fi := 0; fi < ne; fi++ {
-		for _, x := range eAdj[eOff[fi]:eOff[fi+1]] {
-			vAdj[cursor[x]] = int32(fi)
-			cursor[x]++
-		}
-	}
-	return &csr.CSR{
-		VOff:     vOff,
-		VAdj:     vAdj,
-		EOff:     eOff,
-		EAdj:     eAdj,
-		VertexID: keep,
-		EdgeID:   append([]int32(nil), sh.Edges...),
-	}
-}
-
-// RemoteEdges returns the remote-incidence rows of shard s: for the
-// i-th owned vertex (ascending, matching Shards[s].Vertices),
-// adj[off[i]:off[i+1]] lists the hyperedges incident to it that are
-// owned by other shards, as ascending original IDs.  These rows are
-// the complement of the owned rows in MaterializeCSR's block — a
-// vertex's block degree plus its remote row length is its full degree
-// — so a shard-local peel loop can notify foreign hyperedges of a
-// retired vertex without consulting the full hypergraph.
-func (p *Partition) RemoteEdges(s int) (off, adj []int32) {
-	sh := &p.Shards[s]
-	owner := int32(s)
-	off = make([]int32, len(sh.Vertices)+1)
-	total := int32(0)
-	for i, v := range sh.Vertices {
-		for _, f := range p.vertexEdges(int(v)) {
-			if p.EdgeOwner[f] != owner {
-				total++
-			}
-		}
-		off[i+1] = total
-	}
-	adj = make([]int32, total)
-	k := 0
-	for _, v := range sh.Vertices {
-		for _, f := range p.vertexEdges(int(v)) {
-			if p.EdgeOwner[f] != owner {
-				adj[k] = f
-				k++
-			}
-		}
-	}
-	return off, adj
 }

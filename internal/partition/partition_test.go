@@ -155,162 +155,6 @@ func TestNormalizeShards(t *testing.T) {
 	}
 }
 
-// TestMaterialize checks that each shard's materialized sub-hypergraph
-// carries the owned hyperedges intact (frontier vertices kept).
-func TestMaterialize(t *testing.T) {
-	for i, h := range instances(t) {
-		p := partition.Build(h, 3)
-		for s := range p.Shards {
-			sub, vMap, fMap := p.Materialize(s)
-			if sub.NumEdges() != len(p.Shards[s].Edges) {
-				t.Fatalf("instance %d shard %d: %d hyperedges materialized, own %d",
-					i, s, sub.NumEdges(), len(p.Shards[s].Edges))
-			}
-			for _, f := range p.Shards[s].Edges {
-				nf, ok := fMap[int(f)]
-				if !ok {
-					t.Fatalf("instance %d shard %d: hyperedge %d not in fMap", i, s, f)
-				}
-				if sub.EdgeDegree(nf) != h.EdgeDegree(int(f)) {
-					t.Fatalf("instance %d shard %d: hyperedge %d lost members (%d → %d)",
-						i, s, f, h.EdgeDegree(int(f)), sub.EdgeDegree(nf))
-				}
-				for _, v := range h.Vertices(int(f)) {
-					if _, ok := vMap[int(v)]; !ok {
-						t.Fatalf("instance %d shard %d: member vertex %d of %d dropped", i, s, v, f)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestMaterializeCSR pins the flat-array block against the
-// builder-layer Materialize: both number the kept vertices in
-// ascending original-ID order, so the structures must agree
-// positionally — same counts, same member rows (translated through
-// vMap), valid CSR invariants, and ID maps that invert exactly.
-func TestMaterializeCSR(t *testing.T) {
-	for i, h := range instances(t) {
-		for _, shards := range []int{1, 3, 7} {
-			p := partition.Build(h, shards)
-			for s := range p.Shards {
-				c := p.MaterializeCSR(s)
-				if err := c.Validate(); err != nil {
-					t.Fatalf("instance %d shard %d/%d: %v", i, s, shards, err)
-				}
-				sub, vMap, fMap := p.Materialize(s)
-				if c.NumVertices() != sub.NumVertices() || c.NumEdges() != sub.NumEdges() || c.NumPins() != sub.NumPins() {
-					t.Fatalf("instance %d shard %d/%d: CSR block %d/%d/%d, Materialize %d/%d/%d",
-						i, s, shards, c.NumVertices(), c.NumEdges(), c.NumPins(),
-						sub.NumVertices(), sub.NumEdges(), sub.NumPins())
-				}
-				for old, nf := range fMap {
-					if int(c.EdgeID[nf]) != old {
-						t.Fatalf("instance %d shard %d/%d: EdgeID[%d] = %d, want %d", i, s, shards, nf, c.EdgeID[nf], old)
-					}
-					row := c.EdgeVertices(int32(nf))
-					want := sub.Vertices(nf)
-					if len(row) != len(want) {
-						t.Fatalf("instance %d shard %d/%d: edge %d has %d members, want %d",
-							i, s, shards, nf, len(row), len(want))
-					}
-					for j := range row {
-						if row[j] != want[j] {
-							t.Fatalf("instance %d shard %d/%d: edge %d member %d = %d, want %d",
-								i, s, shards, nf, j, row[j], want[j])
-						}
-					}
-				}
-				for old, nv := range vMap {
-					if int(c.VertexID[nv]) != old {
-						t.Fatalf("instance %d shard %d/%d: VertexID[%d] = %d, want %d", i, s, shards, nv, c.VertexID[nv], old)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestRemoteEdges checks that the remote-incidence rows are exactly
-// the complement of the owned rows in the MaterializeCSR block: for
-// every owned vertex, the block row (mapped to original IDs) plus the
-// remote row reassembles the vertex's full incidence list, ascending
-// and disjoint.
-func TestRemoteEdges(t *testing.T) {
-	for i, h := range instances(t) {
-		for _, shards := range []int{1, 3, 7} {
-			p := partition.Build(h, shards)
-			for s := range p.Shards {
-				sh := &p.Shards[s]
-				block := p.MaterializeCSR(s)
-				off, adj := p.RemoteEdges(s)
-				if len(off) != len(sh.Vertices)+1 {
-					t.Fatalf("instance %d shard %d/%d: %d offsets for %d owned vertices",
-						i, s, shards, len(off), len(sh.Vertices))
-				}
-				if int(off[len(sh.Vertices)]) != len(adj) {
-					t.Fatalf("instance %d shard %d/%d: offsets end at %d, adj has %d",
-						i, s, shards, off[len(sh.Vertices)], len(adj))
-				}
-				for j, v := range sh.Vertices {
-					remote := adj[off[j]:off[j+1]]
-					for _, f := range remote {
-						if p.EdgeOwner[f] == int32(s) {
-							t.Fatalf("instance %d shard %d/%d: remote row of vertex %d lists owned hyperedge %d",
-								i, s, shards, v, f)
-						}
-					}
-					// Rebuild the full row: owned incidences from the block
-					// (local edge IDs mapped back), remote from the rows.
-					local, ok := localID(block.VertexID, v)
-					if !ok {
-						t.Fatalf("instance %d shard %d/%d: owned vertex %d missing from block", i, s, shards, v)
-					}
-					var full []int32
-					for _, fi := range block.VertexEdges(local) {
-						full = append(full, block.EdgeID[fi])
-					}
-					full = append(full, remote...)
-					want := h.Edges(int(v))
-					if len(full) != len(want) {
-						t.Fatalf("instance %d shard %d/%d: vertex %d reassembles %d incidences, want %d",
-							i, s, shards, v, len(full), len(want))
-					}
-					seen := make(map[int32]bool, len(full))
-					for _, f := range full {
-						seen[f] = true
-					}
-					for _, f := range want {
-						if !seen[f] {
-							t.Fatalf("instance %d shard %d/%d: vertex %d incidence %d missing from block+remote",
-								i, s, shards, v, f)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// localID finds the block-local ID of original vertex v in the sorted
-// VertexID map.
-func localID(ids []int32, v int32) (int32, bool) {
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ids[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(ids) && ids[lo] == v {
-		return int32(lo), true
-	}
-	return 0, false
-}
-
 func TestBuildEmptyHypergraph(t *testing.T) {
 	h, err := hypergraph.FromEdgeSets(0, nil)
 	if err != nil {
@@ -425,9 +269,9 @@ func TestFromDescsCtxCancelled(t *testing.T) {
 }
 
 // TestBuildCSRMatchesBuild pins the CSR-backed partition to the
-// Hypergraph-backed one: same owners, same shards, same materialized
-// blocks, same remote rows — so a store-mapped CSR shards exactly like
-// the hypergraph it was written from.
+// Hypergraph-backed one: same owners, same cut edges, same shards — so
+// a store-mapped CSR shards exactly like the hypergraph it was written
+// from.
 func TestBuildCSRMatchesBuild(t *testing.T) {
 	for _, h := range instances(t) {
 		for _, shards := range []int{1, 2, 3, 7} {
@@ -445,31 +289,7 @@ func TestBuildCSRMatchesBuild(t *testing.T) {
 					!slices.Equal(gs.Frontier, ws.Frontier) || !slices.Equal(gs.Cut, ws.Cut) || gs.Pins != ws.Pins {
 					t.Fatalf("%v at %d shards: shard %d differs", h, shards, s)
 				}
-				wc, gc := want.MaterializeCSR(s), got.MaterializeCSR(s)
-				if !slices.Equal(gc.VOff, wc.VOff) || !slices.Equal(gc.VAdj, wc.VAdj) ||
-					!slices.Equal(gc.EOff, wc.EOff) || !slices.Equal(gc.EAdj, wc.EAdj) ||
-					!slices.Equal(gc.VertexID, wc.VertexID) || !slices.Equal(gc.EdgeID, wc.EdgeID) {
-					t.Fatalf("%v at %d shards: MaterializeCSR(%d) differs", h, shards, s)
-				}
-				wOff, wAdj := want.RemoteEdges(s)
-				gOff, gAdj := got.RemoteEdges(s)
-				if !slices.Equal(gOff, wOff) || !slices.Equal(gAdj, wAdj) {
-					t.Fatalf("%v at %d shards: RemoteEdges(%d) differs", h, shards, s)
-				}
 			}
 		}
 	}
-}
-
-// TestMaterializeNeedsH pins the contract that a CSR-backed partition
-// cannot materialize named sub-hypergraphs.
-func TestMaterializeNeedsH(t *testing.T) {
-	h := gen.RandomHypergraph(20, 10, 3, xrand.New(7))
-	p := partition.BuildCSR(csr.FromH(h), 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Materialize on a CSR-backed partition did not panic")
-		}
-	}()
-	p.Materialize(0)
 }
